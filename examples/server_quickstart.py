@@ -114,10 +114,9 @@ def main() -> None:
                 stats = client.cache_stats()["server"]
                 print(
                     f"server: {stats['connections']} connection(s), "
-                    f"inflight bound {stats['max_inflight']}, "
                     f"ingest buffer threshold {stats['ingest_flush_after']}"
                 )
-        print("server stopped; inflight requests drained before the sockets closed")
+        print("server stopped; buffered ingest was committed before shutdown")
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ The CLI exposes the typical life cycle of the system:
   of a specification (a runs x pairs matrix, parallel like ``sweep``);
 * ``serve`` — put a provenance database behind a TCP socket (the binary
   wire protocol of :mod:`repro.server`);
-* ``health`` — probe a running server for shard reachability, pool
-  liveness and inflight depth (exit 0 on ``ok``, 1 on ``degraded``);
+* ``health`` — probe a running server for shard reachability and pool
+  liveness (exit 0 on ``ok``, 1 on ``degraded``);
 * ``experiments`` — regenerate the paper's tables and figures;
 * ``info`` — show a specification's characteristics (the Table 1 columns).
 
@@ -59,11 +59,7 @@ from repro.datasets.reallife import load_real_workflow, real_workflow_names
 from repro.datasets.synthetic import SyntheticSpecConfig, generate_specification
 from repro.exceptions import LabelingError, ReproError, StorageError
 from repro.server.client import RemoteStore, is_remote_target
-from repro.server.daemon import (
-    INGEST_FLUSH_AFTER_DEFAULT,
-    MAX_INFLIGHT_DEFAULT,
-    ProvenanceServer,
-)
+from repro.server.daemon import INGEST_FLUSH_AFTER_DEFAULT, ProvenanceServer
 from repro.server.protocol import DEFAULT_PORT
 from repro.skeleton.skl import SkeletonLabeler
 from repro.storage.sharded import MAX_SHARDS, open_store
@@ -270,13 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"TCP port (default {DEFAULT_PORT}; 0 picks a free port)",
     )
     serve_parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=MAX_INFLIGHT_DEFAULT,
-        help="queued requests per connection before the server stops "
-        "reading that socket (backpressure bound)",
-    )
-    serve_parser.add_argument(
         "--ingest-flush-after",
         type=int,
         default=INGEST_FLUSH_AFTER_DEFAULT,
@@ -287,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     health_parser = subparsers.add_parser(
         "health",
         help="probe a running provenance server (shard reachability, "
-        "pool liveness, inflight depth)",
+        "pool liveness)",
     )
     health_parser.add_argument(
         "--database",
@@ -728,13 +717,13 @@ def _command_cross_batch(args: argparse.Namespace) -> int:
 
 def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     server = ProvenanceServer(
         path=args.database,
         shards=args.shards,
         host=args.host,
         port=args.port,
-        max_inflight=args.max_inflight,
         ingest_flush_after=args.ingest_flush_after,
     )
 
@@ -745,7 +734,19 @@ def _command_serve(args: argparse.Namespace) -> int:
             "(Ctrl-C to stop)",
             flush=True,
         )
-        await server.serve_forever()
+        # Ctrl-C cancels serving between requests.  Without this handler
+        # Python 3.10 raises KeyboardInterrupt wherever the event-loop
+        # thread is — inside a request's store operation, or inside stop().
+        try:
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGINT, asyncio.current_task().cancel
+            )
+        except (NotImplementedError, RuntimeError):
+            pass  # no loop signal handlers: Windows, or not the main thread
+        try:
+            await server.serve_forever()
+        except asyncio.CancelledError:
+            pass  # the SIGINT above; serve_forever has stopped the server
 
     try:
         asyncio.run(_serve())

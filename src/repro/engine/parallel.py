@@ -141,9 +141,12 @@ def resolve_workers(workers: Optional[int], run_count: int) -> int:
 
     An explicit *workers* request is honored (clamped to the run count —
     there is never more than one task per run in flight); ``None`` sizes
-    the pool from ``os.cpu_count()`` capped at :data:`MAX_AUTO_WORKERS`,
-    and additionally auto-selects the sequential path (returns 1) for
-    small sweeps (< :data:`PARALLEL_MIN_RUNS` runs) or single-core hosts.
+    the pool from the CPUs this process may run on
+    (``os.sched_getaffinity``, or ``os.cpu_count()`` where the platform
+    lacks it) capped at :data:`MAX_AUTO_WORKERS`, and additionally
+    auto-selects the sequential path (returns 1) for small sweeps
+    (< :data:`PARALLEL_MIN_RUNS` runs) or a process limited to one CPU —
+    a ``taskset``/cpuset-pinned server included.
     """
     if run_count <= 0:
         return 1
@@ -152,7 +155,10 @@ def resolve_workers(workers: Optional[int], run_count: int) -> int:
         if workers < 1:
             raise QueryPlanError(f"workers must be a positive integer, got {workers}")
         return min(workers, run_count)
-    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     if cpus <= 1 or run_count < PARALLEL_MIN_RUNS:
         return 1
     return max(1, min(cpus, MAX_AUTO_WORKERS, run_count))

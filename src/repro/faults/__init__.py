@@ -230,7 +230,7 @@ class FaultPlan:
     """A seeded set of :class:`FaultRule` s, activatable as a unit.
 
     Thread-safe: one plan may be hit from the client thread, the server's
-    store thread and pool workers at once; each rule's counters advance
+    event-loop thread and pool workers at once; each rule's counters advance
     atomically, so "fail the Nth call" means the Nth call plan-wide.
     """
 
@@ -383,7 +383,7 @@ def parse_fault_spec(spec: str) -> FaultPlan:
 # the process-global activation state
 # ----------------------------------------------------------------------
 #: explicitly activated plans (appended by FaultPlan.active); global, not
-#: thread-local — the server's store thread and pool workers must see a
+#: thread-local — the server's event-loop thread and pool workers must see a
 #: plan the test thread activated
 _STACK: list[FaultPlan] = []
 

@@ -16,7 +16,6 @@ behind a TCP socket so compiled plans are served where the data lives.
 from repro.server.client import RemoteSession, RemoteStore, is_remote_target, parse_url
 from repro.server.daemon import (
     INGEST_FLUSH_AFTER_DEFAULT,
-    MAX_INFLIGHT_DEFAULT,
     ProvenanceServer,
     ServerThread,
 )
@@ -33,5 +32,4 @@ __all__ = [
     "DEFAULT_PORT",
     "MAX_FRAME_BYTES",
     "INGEST_FLUSH_AFTER_DEFAULT",
-    "MAX_INFLIGHT_DEFAULT",
 ]

@@ -5,15 +5,17 @@ sharded, exactly what :func:`repro.storage.sharded.open_store` returns —
 with the length-prefixed binary protocol of
 :mod:`repro.server.protocol`.  The design follows three rules:
 
-* **One store thread.**  The store's caches (label LRUs, compiled
-  engines, adaptive promotion counters) are plain dicts with no locking,
-  so every store operation — queries, ingest flushes, even opening the
-  store when the server was given a path — runs on a single dedicated
-  executor thread.  Concurrency across connections comes from asyncio
-  interleaving at the request boundary, not from racing the caches;
-  the parallel machinery *inside* an operation (per-shard ingest
-  commits, cross-run worker pools) still fans out through the store's
-  own persistent pools.
+* **The event-loop thread is the store thread.**  The store's caches
+  (label LRUs, compiled engines, adaptive promotion counters) are plain
+  dicts with no locking, so every store operation — queries, ingest
+  flushes, opening the store when the server was given a path — runs
+  inline on the one thread that runs the event loop.  Concurrency across
+  connections comes from asyncio interleaving at the request boundary,
+  not from racing the caches; the parallel machinery *inside* an
+  operation (per-shard ingest commits, cross-run worker pools) still
+  fans out through the store's own persistent pools.  A long operation
+  (an ingest flush, a cross-run sweep) holds up every other connection
+  until it returns.
 * **Per-connection session state.**  Each connection owns a
   :class:`~repro.api.ProvenanceSession` that lives as long as the
   connection, so adaptive point-query promotion and the store's compiled
@@ -24,16 +26,16 @@ with the length-prefixed binary protocol of
   per-shard commit path) when the client asks or the buffer reaches
   ``ingest_flush_after``; whatever is still buffered at disconnect is
   flushed then.
-* **Bounded inflight, clean drain.**  Each connection feeds a bounded
-  queue read by one responder task; when the queue is full the reader
-  coroutine stops pulling bytes, so overload turns into TCP backpressure
-  instead of unbounded buffering.  Responses always leave in request
-  order.  A malformed or truncated frame gets a ``STATUS_FATAL`` error
-  frame and the connection closes; store-level errors
+* **One coroutine per connection.**  It reads a frame, answers it,
+  writes and drains the response, and only then reads the next frame:
+  responses leave in request order, and a client that sends faster than
+  it reads meets TCP backpressure, not a server-side queue.  A malformed
+  or truncated frame gets a ``STATUS_FATAL`` error frame and the
+  connection closes; store-level errors
   (:class:`~repro.exceptions.ReproError`) are reported recoverably and
   the connection lives on.  :meth:`ProvenanceServer.stop` stops
-  accepting, lets inflight requests finish (up to a grace period),
-  flushes ingest buffers, and closes the store — draining its worker
+  accepting, closes every connection, lets each connection commit its
+  buffered ingest, and closes a server-owned store — draining its worker
   pools — before returning.
 
 :class:`ServerThread` wraps the daemon in a background thread with its
@@ -47,7 +49,6 @@ import asyncio
 import json
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
 from repro.faults import fault_point
@@ -71,17 +72,13 @@ __all__ = [
     "ProvenanceServer",
     "ServerThread",
     "INGEST_FLUSH_AFTER_DEFAULT",
-    "MAX_INFLIGHT_DEFAULT",
 ]
 
 #: buffered ingest entries per connection before an automatic flush
 INGEST_FLUSH_AFTER_DEFAULT = 32
 
-#: queued (accepted but unanswered) requests per connection before the
-#: reader stops pulling bytes off the socket
-MAX_INFLIGHT_DEFAULT = 64
-
-#: how long stop() waits for a connection's inflight requests to finish
+#: how long stop() waits for closed connections' coroutines to finish
+#: before it aborts their transports
 DRAIN_GRACE_SECONDS = 10.0
 
 #: committed ingest sequence tokens remembered per client — deep enough
@@ -98,14 +95,17 @@ INGEST_DEDUPE_CLIENTS = 64
 class _Connection:
     """Everything one TCP connection owns on the server side."""
 
-    def __init__(self, session: ProvenanceSession) -> None:
+    def __init__(
+        self, session: ProvenanceSession, writer: asyncio.StreamWriter
+    ) -> None:
         self.session = session
+        self.writer = writer
+        #: the coroutine serving this connection; stop() awaits it
+        self.task = asyncio.current_task()
         #: buffered (seq, scheme, spec_json, run_json) ingest entries
         self.ingest_buffer: list[tuple[int, str, str, str]] = []
         #: labelers reused across this connection's ingest flushes
         self.labelers: dict[tuple[str, str], Any] = {}
-        #: set once a fatal frame went out; later queue items are discarded
-        self.dead = False
         #: the client's self-assigned id from the v3 HELLO ("" until then);
         #: keys the server-global ingest dedupe map, so entries replayed
         #: over a new connection after a mid-flush disconnect commit once
@@ -115,19 +115,26 @@ class _Connection:
 class ProvenanceServer:
     """Serve one provenance store over the binary wire protocol.
 
+    Every request runs on the event-loop thread, one connection's
+    requests strictly in order (see the module docstring).
+
     Parameters
     ----------
     store:
         An already-open store (single-file or sharded).  The caller keeps
-        ownership: :meth:`stop` will NOT close it.
+        ownership: :meth:`stop` will NOT close it.  Its connections must
+        allow use from the event-loop thread, which
+        :func:`repro.storage.database.connect` provides wherever the
+        SQLite library is built serialized.
     path / shards:
         Alternatively, where to ``open_store``.  The store is then opened
-        lazily **on the store thread** and closed by :meth:`stop`.
+        by :meth:`start` on the event-loop thread and closed by
+        :meth:`stop`.
     host / port:
         Bind address; port 0 picks a free port (see :attr:`address`).
-    max_inflight / ingest_flush_after / promote_after:
-        Backpressure bound, ingest buffer threshold, and the adaptive
-        promotion threshold handed to each connection's session.
+    ingest_flush_after / promote_after:
+        The ingest buffer threshold, and the adaptive promotion threshold
+        handed to each connection's session.
     """
 
     def __init__(
@@ -138,14 +145,11 @@ class ProvenanceServer:
         shards: Optional[int] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_inflight: int = MAX_INFLIGHT_DEFAULT,
         ingest_flush_after: int = INGEST_FLUSH_AFTER_DEFAULT,
         promote_after: int = PROMOTE_AFTER_DEFAULT,
     ) -> None:
         if (store is None) == (path is None):
             raise ValueError("ProvenanceServer takes exactly one of store or path")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be positive, got {max_inflight}")
         if ingest_flush_after < 1:
             raise ValueError(
                 f"ingest_flush_after must be positive, got {ingest_flush_after}"
@@ -156,20 +160,13 @@ class ProvenanceServer:
         self._shards = shards
         self.host = host
         self.port = port
-        self.max_inflight = int(max_inflight)
         self.ingest_flush_after = int(ingest_flush_after)
         self.promote_after = int(promote_after)
         self._server: Optional[asyncio.base_events.Server] = None
-        # every store operation runs here; see the module docstring
-        self._store_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-server-store"
-        )
-        self._connections: set[
-            tuple[asyncio.Queue, asyncio.StreamWriter, _Connection]
-        ] = set()
+        self._connections: set[_Connection] = set()
         self._stopped = False
         # committed (client_id, seq) ingest tokens -> run_id; mutated only
-        # on the store thread, so the disconnect-flush of a dying
+        # on the event-loop thread, so the disconnect-flush of a dying
         # connection and the replay arriving over its successor serialize
         # instead of racing (whichever runs first commits, the other
         # returns the recorded ids)
@@ -198,18 +195,15 @@ class ProvenanceServer:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _open_store(self) -> Any:
-        """Resolve the store on the store thread (first use only)."""
+    async def start(self) -> tuple[str, int]:
+        """Open a path-given store, bind, and start accepting.
+
+        Returns the bound ``(host, port)``.
+        """
         if self._store is None:
             from repro.storage.sharded import open_store
 
             self._store = open_store(self._path, shards=self._shards)
-        return self._store
-
-    async def start(self) -> tuple[str, int]:
-        """Bind and start accepting; returns the bound ``(host, port)``."""
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._store_pool, self._open_store)
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self.port
         )
@@ -225,59 +219,52 @@ class ProvenanceServer:
         return f"repro://{self.host}:{self.port}/"
 
     async def serve_forever(self) -> None:
-        """Serve until cancelled (the CLI's foreground mode)."""
+        """Serve until cancelled (the CLI's foreground mode), then stop.
+
+        Waits on a future of its own rather than
+        ``asyncio.Server.serve_forever``, whose cancellation path awaits
+        ``wait_closed()`` — since Python 3.12.1 that waits for every
+        client to hang up before :meth:`stop` could close them.
+        """
         if self._server is None:
             await self.start()
         try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
+            await asyncio.get_running_loop().create_future()
         finally:
             await self.stop()
 
     async def stop(self) -> None:
-        """Stop accepting, drain inflight requests, release the store.
+        """Stop accepting, close every connection, release the store.
 
-        Connections get :data:`DRAIN_GRACE_SECONDS` to finish queued
-        requests (responses still go out), then their transports close.
-        A server-owned store (opened from a path) is closed — which
-        drains its persistent worker pools; a caller-provided store is
-        left open for its owner.
+        Each connection's coroutine sees its transport close, commits its
+        buffered ingest and ends; one still running after
+        :data:`DRAIN_GRACE_SECONDS` (a peer that stopped reading keeps a
+        closing transport's write buffer full) has its transport aborted
+        and is awaited to its end too, so no buffer is left behind.  Only
+        then does this wait for the listening server to close — since
+        Python 3.12.1 that waits for every connection.  A server-owned
+        store (opened from a path) is closed, which drains its persistent
+        worker pools; a caller-provided store is left open for its owner.
         """
         if self._stopped:
             return
         self._stopped = True
         if self._server is not None:
             self._server.close()
+        for connection in self._connections:
+            connection.writer.close()
+        pending = {connection.task for connection in self._connections}
+        if pending:
+            _, pending = await asyncio.wait(pending, timeout=DRAIN_GRACE_SECONDS)
+        if pending:
+            for connection in self._connections:
+                connection.writer.transport.abort()
+            # an aborted transport wakes its coroutine's drain() at once
+            await asyncio.wait(pending)
+        if self._server is not None:
             await self._server.wait_closed()
-        for queue, writer, _ in list(self._connections):
-            try:
-                await asyncio.wait_for(queue.join(), timeout=DRAIN_GRACE_SECONDS)
-            except asyncio.TimeoutError:
-                pass
-            writer.close()
-        loop = asyncio.get_running_loop()
-        # deterministic flush-or-reject for ingest still buffered at
-        # shutdown: a disconnect racing stop() can leave the reader's eof
-        # sentinel unprocessed when the queue drains (join() returns at
-        # zero unfinished items *before* the sentinel is enqueued), and a
-        # connection that never disconnected gets no sentinel at all —
-        # either way the responder's own disconnect-flush would run after
-        # the store thread is gone and silently drop the buffer.  Flushing
-        # here, while the store thread is still alive, is double-flush
-        # safe: _flush_ingest pops the buffer first and every flush
-        # serializes on the single store thread.
-        for _, _, state in list(self._connections):
-            if state.ingest_buffer:
-                try:
-                    await loop.run_in_executor(
-                        self._store_pool, self._flush_ingest, state
-                    )
-                except ReproError:
-                    pass  # rejected deterministically (store-level error)
         if self._owns_store and self._store is not None:
-            await loop.run_in_executor(self._store_pool, self._store.close)
-        self._store_pool.shutdown(wait=True)
+            self._store.close()
 
     # ------------------------------------------------------------------
     # connection plumbing
@@ -286,18 +273,17 @@ class ProvenanceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         state = _Connection(
-            ProvenanceSession(self._store, promote_after=self.promote_after)
+            ProvenanceSession(self._store, promote_after=self.promote_after),
+            writer,
         )
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.max_inflight)
-        record = (queue, writer, state)
-        self._connections.add(record)
-        responder = asyncio.create_task(self._respond_loop(queue, writer, state))
-        fatal: Optional[ProtocolError] = None
+        self._connections.add(state)
         try:
-            while True:
-                # an injected connection fault here takes the (ConnectionError,
-                # OSError) path below: the connection dies, buffered ingest
-                # still flushes via the eof sentinel
+            # a connection accepted just before stop() starts after stop()
+            # closed the others, and must not outlive it
+            while not (self._stopped or writer.is_closing()):
+                # an injected connection fault here takes the
+                # (ConnectionError, OSError) path below: the connection
+                # dies, buffered ingest still flushes in the finally
                 fault_point("server.read")
                 try:
                     prefix = await reader.readexactly(4)
@@ -316,61 +302,27 @@ class ProvenanceServer:
                         f"truncated frame: announced {length} payload bytes, "
                         f"got {len(exc.partial)}"
                     ) from None
-                # bounded inflight: when the responder is max_inflight
-                # requests behind, this put blocks and the client sees
-                # TCP backpressure instead of the server buffering forever
-                await queue.put(payload)
+                await self._send(writer, self._serve_one(state, payload))
         except ProtocolError as exc:
-            fatal = exc
-        except (ConnectionError, OSError):
-            pass
-        await queue.put(("fatal", fatal) if fatal is not None else ("eof", None))
-        try:
-            await responder
-        finally:
-            self._connections.discard(record)
-            writer.close()
-
-    async def _respond_loop(
-        self, queue: asyncio.Queue, writer: asyncio.StreamWriter, state: _Connection
-    ) -> None:
-        """Answer queued requests in order; one task per connection."""
-        loop = asyncio.get_running_loop()
-        while True:
-            item = await queue.get()
             try:
-                if isinstance(item, tuple):
-                    kind, exc = item
-                    if kind == "fatal" and not state.dead:
-                        await self._send(writer, _error_frame(wire.STATUS_FATAL, exc))
-                    try:
-                        # disconnect: whatever ingest the client buffered
-                        # but never flushed is committed now, not dropped
-                        await loop.run_in_executor(
-                            self._store_pool, self._flush_ingest, state
-                        )
-                    except (RuntimeError, ReproError):
-                        # the disconnect raced server shutdown: the store
-                        # thread (or the store itself) is already gone
-                        pass
-                    return
-                if state.dead:
-                    continue  # fatal already reported; drain and discard
-                response, fatal = await loop.run_in_executor(
-                    self._store_pool, self._serve_one, state, item
-                )
-                await self._send(writer, response)
-                if fatal:
-                    state.dead = True
-                    writer.close()
+                await self._send(writer, _error_frame(wire.STATUS_FATAL, exc))
             except (ConnectionError, OSError):
-                # the response cannot reach the client (peer gone, or an
-                # injected server.write fault): close the transport so the
-                # client sees EOF now instead of waiting out its timeout
-                state.dead = True
-                writer.close()
-            finally:
-                queue.task_done()
+                pass
+        except (ConnectionError, OSError):
+            # the peer is gone, or an injected server.read/server.write
+            # fault: close below so the client sees EOF now instead of
+            # waiting out its timeout
+            pass
+        finally:
+            self._connections.discard(state)
+            writer.close()
+            # disconnect: whatever ingest the client buffered but never
+            # flushed is committed now, not dropped; no client is left to
+            # hear of a store-level rejection
+            try:
+                self._flush_ingest(state)
+            except ReproError:
+                pass
 
     @staticmethod
     async def _send(writer: asyncio.StreamWriter, response: bytes) -> None:
@@ -379,10 +331,15 @@ class ProvenanceServer:
         await writer.drain()
 
     # ------------------------------------------------------------------
-    # dispatch (store thread)
+    # dispatch (event-loop thread)
     # ------------------------------------------------------------------
-    def _serve_one(self, state: _Connection, payload: bytes) -> tuple[bytes, bool]:
-        """Decode, execute and encode one request; returns (frame, fatal)."""
+    def _serve_one(self, state: _Connection, payload: bytes) -> bytes:
+        """Decode, execute and encode one request; returns the frame.
+
+        A :class:`~repro.exceptions.ProtocolError` (a malformed request)
+        propagates, because it ends the connection; every other error
+        becomes a recoverable ``STATUS_ERROR`` frame.
+        """
         try:
             reader = Reader(payload)
             opcode = reader.u8()
@@ -390,16 +347,14 @@ class ProvenanceServer:
             if handler is None:
                 raise ProtocolError(f"unknown opcode {opcode}")
             body = handler(state, reader)
-            return frame(bytes([wire.STATUS_OK]) + body), False
-        except ProtocolError as exc:
-            return _error_frame(wire.STATUS_FATAL, exc), True
-        except ReproError as exc:
-            return _error_frame(wire.STATUS_ERROR, exc), False
+            return frame(bytes([wire.STATUS_OK]) + body)
+        except ProtocolError:
+            raise
         except Exception as exc:  # noqa: BLE001 - report, don't kill the daemon
-            return _error_frame(wire.STATUS_ERROR, exc), False
+            return _error_frame(wire.STATUS_ERROR, exc)
 
     # ------------------------------------------------------------------
-    # op handlers (store thread; Reader is positioned past the opcode)
+    # op handlers (event-loop thread; Reader is positioned past the opcode)
     # ------------------------------------------------------------------
     def _op_hello(self, state: _Connection, reader: Reader) -> bytes:
         client_version = reader.u32()
@@ -543,7 +498,7 @@ class ProvenanceServer:
         return writer.getvalue()
 
     def _seen_of(self, client_id: str) -> "OrderedDict[int, int]":
-        """The client's committed-seq map (store thread only; LRU-bounded)."""
+        """The client's committed-seq map (event-loop thread only; LRU-bounded)."""
         seen = self._ingest_seen.get(client_id)
         if seen is None:
             if len(self._ingest_seen) >= INGEST_DEDUPE_CLIENTS:
@@ -561,8 +516,8 @@ class ProvenanceServer:
         reconnecting client replaying a batch whose acknowledgment it
         never received — are answered with their recorded run ids instead
         of being labeled and inserted again: exactly-once ingest across
-        disconnects.  Runs only on the store thread, so the dedupe map
-        never races.
+        disconnects.  Runs only on the event-loop thread, so the dedupe
+        map never races.
         """
         if not state.ingest_buffer:
             return []
@@ -612,7 +567,6 @@ class ProvenanceServer:
         stats = dict(state.session.cache_stats())
         stats["server"] = {
             "connections": len(self._connections),
-            "max_inflight": self.max_inflight,
             "ingest_flush_after": self.ingest_flush_after,
             "ingest_buffered": len(state.ingest_buffer),
         }
@@ -634,11 +588,11 @@ class ProvenanceServer:
         return Writer().put_str(json.dumps(specs)).getvalue()
 
     def _op_health(self, state: _Connection, reader: Reader) -> bytes:
-        """Liveness report (protocol v3): shards, pools, inflight depth.
+        """Liveness report (protocol v3): shard reachability and pools.
 
-        Runs on the store thread like every other op — a wedged store
-        thread therefore makes HEALTH hang too, which is exactly the
-        signal a prober wants (the accept loop alone proving nothing).
+        Runs on the event-loop thread like every other op — a wedged
+        store operation therefore makes HEALTH hang too, which is exactly
+        the signal a prober wants (the accept loop alone proving nothing).
         """
         reader.expect_end()
         store = self._store
@@ -657,7 +611,6 @@ class ProvenanceServer:
             "shards_reachable": reachable,
             "pools": store.pool_stats(),
             "connections": len(self._connections),
-            "inflight": sum(queue.qsize() for queue, _, _ in self._connections),
             "ingest_buffered": len(state.ingest_buffer),
             "degraded": store.cache_stats().get("degraded", {}),
         }
@@ -721,7 +674,8 @@ class ServerThread:
             ...
 
     ``stop()`` (or leaving the ``with`` block) performs the daemon's
-    clean shutdown — inflight requests drain before the sockets close.
+    clean shutdown — connections close, and their buffered ingest is
+    committed before the store is released.
     """
 
     def __init__(self, store: Any = None, **server_kwargs: Any) -> None:

@@ -71,7 +71,7 @@ __all__ = [
 #: string after the version, every INGEST entry is prefixed with an i64
 #: sequence token (the server deduplicates ``(client_id, seq)`` so a
 #: reconnecting client can safely replay unacknowledged entries), and the
-#: HEALTH op reports shard reachability, pool liveness and inflight depth.
+#: HEALTH op reports shard reachability and pool liveness.
 #: Version 4 adds the shard routing subsystem: the REBALANCE, REPLICATE
 #: and ROUTING maintenance opcodes (sharded stores only), and the HEALTH
 #: report gains the per-shard skew table (spec/run counts, file bytes,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import sqlite3
+import sys
 from pathlib import Path
 from typing import Union
 
@@ -81,6 +83,25 @@ def iter_value_chunks(values, *, columns_per_row: int = 1, reserved: int = 0):
         yield chunk, ", ".join([template] * len(chunk))
 
 
+@functools.lru_cache(maxsize=None)
+def _serialized_sqlite() -> bool:
+    """Whether the SQLite library serializes all access to a connection.
+
+    Python 3.11+ reports that as ``sqlite3.threadsafety == 3``, derived
+    from the library's ``THREADSAFE=1`` compile option.  Older versions
+    hard-code ``threadsafety = 1`` whatever the library, so ask the
+    library for its compile options directly.
+    """
+    if sys.version_info >= (3, 11):
+        return sqlite3.threadsafety == 3
+    probe = sqlite3.connect(":memory:")
+    try:
+        options = {row[0] for row in probe.execute("PRAGMA compile_options")}
+    finally:
+        probe.close()
+    return "THREADSAFE=1" in options
+
+
 def connect(
     path: PathLike = ":memory:", *, journal_mode: str = "MEMORY"
 ) -> sqlite3.Connection:
@@ -105,13 +126,13 @@ def connect(
         # sqlite3.Error handler below, so callers see the usual typed
         # StorageError); see repro.faults
         fault_point("store.connect")
-        # when the sqlite3 module serializes all access itself
-        # (threadsafety 3, the norm on modern CPython builds), the store's
-        # connections may be shared across threads — a sharded store's
-        # readers then don't need a connection per thread; older builds
-        # keep the per-thread guard
+        # when the SQLite library serializes all access itself (the norm
+        # on CPython builds), the store's connections may be shared across
+        # threads — a sharded store's readers then don't need a connection
+        # per thread, and a server's event-loop thread may serve a store
+        # its caller opened; other builds keep the per-thread guard
         connection = sqlite3.connect(
-            str(path), check_same_thread=sqlite3.threadsafety < 3
+            str(path), check_same_thread=not _serialized_sqlite()
         )
     except sqlite3.Error as exc:
         raise StorageError(f"could not open provenance database {path!r}: {exc}") from exc

@@ -58,11 +58,6 @@ __all__ = [
 
 Execution = tuple[str, int]
 
-#: below this many labeled vertices a streamed kernel sweep is already a
-#: handful of microseconds, so the planner's "auto" mode keeps the kernel
-#: path and its warm caches (see repro.api.plans)
-PUSHDOWN_MIN_ROWS = 256
-
 _SELECT = (
     "SELECT r.run_id, r.module, r.instance, r.vertex_id "
     "FROM run_labels AS a JOIN run_labels AS r ON r.run_id = a.run_id "

@@ -556,7 +556,7 @@ class TestStopFlushesBufferedIngest:
         client = RemoteStore(server.url)
         client.ingest([paper_labeler.label_run(paper_run)], flush=False)
         # eof-triggered disconnect-flush races the shutdown flush; both
-        # paths serialize on the store thread and pop the buffer first,
+        # paths serialize on the event-loop thread and pop the buffer first,
         # so exactly one commit survives
         client.close()
         server.stop()

@@ -75,12 +75,20 @@ class TestResolveWorkers:
     def test_auto_sized_from_cpu_count(self, monkeypatch):
         import repro.engine.parallel as parallel
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 6)
-        assert resolve_workers(None, 100) == 6
+        # sized from the CPUs the process may use, not the host's count:
+        # a server pinned to one CPU takes the sequential path
+        def usable(count):
+            return lambda pid: set(range(count))
+
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            parallel.os, "sched_getaffinity", usable(6), raising=False
+        )
+        assert resolve_workers(None, 100) == 6
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", usable(64))
         assert resolve_workers(None, 100) == MAX_AUTO_WORKERS
         # a single core never pays for a pool
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", usable(1))
         assert resolve_workers(None, 100) == 1
 
 

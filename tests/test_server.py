@@ -5,13 +5,15 @@ answers for every query op against an in-process session, recoverable vs
 fatal error handling (malformed and truncated frames must produce a
 protocol error and a closed connection, never a hang), the buffered
 ingest path (explicit flush, auto-flush threshold, flush-at-disconnect),
-concurrent clients against a sharded store, ingest-during-query
-consistency, clean shutdown with inflight requests, and the CLI's
+pipelined requests answered in order, concurrent clients against a
+sharded store, ingest-during-query consistency, clean shutdown with
+requests in flight or an idle client connected, and the CLI's
 ``repro://`` routing.
 """
 
 from __future__ import annotations
 
+import logging
 import socket
 import struct
 import threading
@@ -65,18 +67,20 @@ def served(tmp_path, paper_spec, paper_labeler, paper_run):
     store.close()
 
 
+def _hello(client_id):
+    """The v3 handshake frame: protocol version + client id."""
+    return frame(
+        bytes([wire.OP_HELLO])
+        + Writer().put_u32(PROTOCOL_VERSION).put_str(client_id).getvalue()
+    )
+
+
 def _raw_exchange(server, payloads, *, read_responses=1):
     """Speak raw bytes to the server; returns the response frames read."""
     responses = []
     with socket.create_connection((server.host, server.port), timeout=10) as sock:
-        # handshake (v3: version + client id) so the failure under test is
-        # the interesting frame
-        sock.sendall(
-            frame(
-                bytes([wire.OP_HELLO])
-                + Writer().put_u32(PROTOCOL_VERSION).put_str("raw-test").getvalue()
-            )
-        )
+        # handshake first, so the failure under test is the interesting frame
+        sock.sendall(_hello("raw-test"))
         _read_frame(sock)
         for payload in payloads:
             sock.sendall(payload)
@@ -105,6 +109,22 @@ def _read_frame(sock):
         assert chunk, "server closed mid-frame"
         payload += chunk
     return payload
+
+
+def _stop_in_time(server):
+    """Stop a ServerThread from a helper thread; fail if it takes 10 s."""
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=10)
+    assert not stopper.is_alive(), "ServerThread.stop() hung"
+
+
+def _asyncio_errors(caplog):
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.name.startswith("asyncio") and record.levelno >= logging.ERROR
+    ]
 
 
 class TestWireCodecs:
@@ -324,6 +344,44 @@ class TestErrorHandling:
         )
         assert response[0] == wire.STATUS_FATAL
 
+    def test_pipelined_requests_are_answered_in_order(self, served, paper_run):
+        store, run_ids, server, _ = served
+        vertices = paper_run.vertices()
+        pairs = [(u, v) for u in vertices[:4] for v in vertices[:4]]
+        local = ProvenanceSession(store)
+        expected = [
+            local.run(PointQuery(u, v, run_id=run_ids[0])) for u, v in pairs
+        ]
+        assert True in expected and False in expected  # order is observable
+        frames = [
+            frame(
+                bytes([wire.OP_POINT])
+                + Writer()
+                .put_i64(run_ids[0])
+                .put_str(u.module)
+                .put_i64(u.instance)
+                .put_str(v.module)
+                .put_i64(v.instance)
+                .getvalue()
+            )
+            for u, v in pairs
+        ]
+        # every request leaves in one write, before any answer is read;
+        # the unknown opcode at the end is answered fatally after them all
+        responses = _raw_exchange(
+            server,
+            [b"".join(frames) + frame(bytes([255]))],
+            read_responses=len(pairs) + 1,
+        )
+        answers = []
+        for response in responses[:-1]:
+            assert response[0] == wire.STATUS_OK
+            reader = Reader(response[1:])
+            answers.append(reader.bool())
+            reader.expect_end()
+        assert answers == expected
+        assert responses[-1][0] == wire.STATUS_FATAL
+
     def test_server_survives_a_fatal_connection(self, served):
         _, run_ids, server, client = served
         _raw_exchange(server, [frame(bytes([255]))])
@@ -424,9 +482,9 @@ class TestIngest:
         )
         with RemoteStore(server.url) as writer:
             writer.ingest([labeled], flush=False)
-        # the flush happens on the server's store thread after disconnect;
-        # observe it through a second client so all store access stays on
-        # that thread
+        # the flush happens on the server's event-loop thread after
+        # disconnect; observe it through a second client so all store
+        # access stays on that thread
         with RemoteStore(server.url) as probe:
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
@@ -536,6 +594,52 @@ class TestConcurrencyAndShutdown:
         client.close()
         store.close()
 
+    def test_stop_returns_with_an_idle_client_connected(
+        self, tmp_path, paper_labeler, paper_run, caplog
+    ):
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        store = ProvenanceStore(tmp_path / "idle.db")
+        store.add_labeled_run(paper_labeler.label_run(paper_run))
+        server = ServerThread(store).start()
+        client = RemoteStore(server.url)
+        try:
+            assert client.list_runs()
+            _stop_in_time(server)
+        finally:
+            client.close()
+        assert not _asyncio_errors(caplog)
+        store.close()
+
+    def test_stop_returns_when_a_client_stops_reading(
+        self, tmp_path, paper_spec, paper_labeler, monkeypatch, caplog
+    ):
+        import repro.server.daemon as daemon
+
+        monkeypatch.setattr(daemon, "DRAIN_GRACE_SECONDS", 0.5)
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        store = ProvenanceStore(tmp_path / "stalled.db")
+        run = generate_run_with_size(paper_spec, 2000, seed=3, name="wide").run
+        run_id = store.add_labeled_run(paper_labeler.label_run(run))
+        # everything is downstream of the source: ~26 KB per answer
+        body = Writer().put_i64(run_id).put_bool(True).put_str("a").put_i64(1)
+        wire.put_pushdown(body, None)
+        sweep = frame(bytes([wire.OP_SWEEP]) + body.getvalue())
+        server = ServerThread(store).start()
+        with socket.socket() as sock:
+            # a small receive window that is never read: the server's
+            # responses back up until its drain() blocks
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10)
+            sock.connect((server.host, server.port))
+            sock.sendall(_hello("stalled"))
+            _read_frame(sock)
+            # ~26 MB of answers, more than the socket buffers hold
+            sock.sendall(sweep * 1000)
+            time.sleep(0.2)  # let the server block writing answers
+            _stop_in_time(server)
+        assert not _asyncio_errors(caplog)
+        store.close()
+
 
 class TestLifecycle:
     def test_server_takes_exactly_one_of_store_or_path(self, tmp_path):
@@ -544,8 +648,6 @@ class TestLifecycle:
         store = ProvenanceStore(tmp_path / "both.db")
         with pytest.raises(ValueError):
             ProvenanceServer(store, path=tmp_path / "other.db")
-        with pytest.raises(ValueError):
-            ProvenanceServer(store, max_inflight=0)
         with pytest.raises(ValueError):
             ProvenanceServer(store, ingest_flush_after=0)
         store.close()
