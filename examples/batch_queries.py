@@ -23,10 +23,12 @@ each query to:
    :class:`~repro.api.CrossRunQuery` — the spec-side kernel is compiled
    once and every run's label columns stream through it;
 6. ask the **same pair workload of every run** with a
-   :class:`~repro.api.CrossRunBatchQuery` (a runs x pairs matrix) and fan
-   the independent per-run payloads across workers (``workers=``, also on
-   ``CrossRunQuery`` — the executor falls back to the sequential path for
-   small sweeps, single-core hosts and in-memory stores).
+   :class:`~repro.api.CrossRunBatchQuery` (a runs x pairs matrix); each
+   run contributes only its endpoints' labels, looked up by primary key.
+   ``workers=`` fans a ``CrossRunQuery`` sweep's per-run payloads across
+   a pool (the executor falls back to the sequential path for small
+   sweeps, single-core hosts and in-memory stores); on the batch queries
+   it is validated but has no effect.
 
 The CLI mirrors steps 3-6: ``repro-provenance query-batch --format bin``,
 ``pack-workload``, ``sweep --workers`` and ``cross-batch``.
@@ -146,7 +148,8 @@ def main() -> None:
 
         # The generalized form: the SAME pair workload asked of every run,
         # answered as a runs x pairs boolean matrix — without building a
-        # per-run engine per run.  Runs missing a queried endpoint are
+        # per-run engine per run: only the pairs' endpoints are read from
+        # each run, by primary key.  Runs missing a queried endpoint are
         # skipped whole, so every matrix row is a complete answer vector.
         monitored = [
             ((anchor.module, anchor.instance), (v.module, v.instance))

@@ -263,12 +263,15 @@ class _CrossRunPlanBase(QueryPlan):
 
     The per-specification fall-through kernel (the expensive, ``nG²``-ish
     part of a skeleton kernel) is compiled **once** via the store's
-    per-spec cache; each run then contributes only a streamed
-    :class:`~repro.storage.store.RunLabelArrays` fetch plus one vectorized
-    kernel evaluation.  The :class:`~repro.engine.parallel.CrossRunExecutor`
-    prefetches runs in chunks (one ordered SQL scan each) and fans the
-    independent per-run payloads across a worker pool, falling back to the
-    sequential PR 3 streaming path for small run counts.
+    per-spec cache; each run then contributes only its label fetch plus
+    one vectorized kernel evaluation.  A sweep streams every run's
+    :class:`~repro.storage.store.RunLabelArrays` (or pushes the sweep into
+    SQL): the :class:`~repro.engine.parallel.CrossRunExecutor` prefetches
+    runs in chunks (one ordered SQL scan each) and fans the independent
+    per-run payloads across a worker pool, falling back to the sequential
+    streaming path for small run counts.  A batch or point plan reads only
+    its endpoints' labels, by primary key, on the calling thread, so the
+    worker count below matters to sweeps alone.
     """
 
     def __init__(self, target: Any, query: Any) -> None:

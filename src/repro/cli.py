@@ -16,7 +16,8 @@ The CLI exposes the typical life cycle of the system:
   specification (the cross-run query; ``--workers`` fans the per-run
   payloads across the parallel executor);
 * ``cross-batch`` — the same pair workload asked of **every** stored run
-  of a specification (a runs x pairs matrix, parallel like ``sweep``);
+  of a specification (a runs x pairs matrix; each run's endpoint labels
+  are read by primary key);
 * ``serve`` — put a provenance database behind a TCP socket (the binary
   wire protocol of :mod:`repro.server`);
 * ``health`` — probe a running server for shard reachability and pool
@@ -238,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel workers for the per-run payloads (default: auto)",
+        help="accepted for compatibility and validated (a positive integer); "
+        "batches read only their endpoints' labels on one thread, so it has "
+        "no effect",
     )
     cross_batch_parser.add_argument(
         "--summary-only",

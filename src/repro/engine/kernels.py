@@ -314,7 +314,7 @@ def dense_pair_answers(matrix, q1, q2, q3, orig, source_rows, target_rows):
     """Arbitrary-pair Algorithm-3 evaluation over raw arrays + a dense matrix.
 
     The dense counterpart of :func:`dense_sweep_answers` for
-    :meth:`SpecKernel.pairs`; shared with the process workers the same way.
+    :meth:`SpecKernel.pairs`.
     """
     q2s, q2t = q2[source_rows], q2[target_rows]
     q3s, q3t = q3[source_rows], q3[target_rows]

@@ -32,21 +32,24 @@ through the shared kernel:
   each worker connection opens exactly the one shard file its chunk lives
   in;
 * workers return **packed** results — affected sweep rows as
-  module-dictionary + two int64 columns, batch answers as a byte vector —
-  decoded once at the API boundary (:meth:`CrossRunExecutor._split_outcomes`),
-  which shrinks process-mode pickling and the GIL-bound per-row tuple
-  building in thread mode;
-* two operations run through it: the anchored dependency **sweep**
-  (``CrossRunQuery``) and the generalized **pair batch** (the same pairs
-  asked of every run, a runs x pairs matrix) behind ``CrossRunBatchQuery``
-  / ``CrossRunPointQuery``.
+  module-dictionary + two int64 columns — decoded once at the API boundary
+  (:meth:`CrossRunExecutor._split_outcomes`), which shrinks process-mode
+  pickling and the GIL-bound per-row tuple building in thread mode.
 
-The sequential path is retained verbatim (per-run streaming fetch, inline
-evaluation) and auto-selected when the run count is below
+Only the anchored dependency **sweep** (``CrossRunQuery``) fans out.  The
+generalized **pair batch** (the same pairs asked of every run, a runs x
+pairs matrix) behind ``CrossRunBatchQuery`` / ``CrossRunPointQuery``
+needs only its endpoints' labels, so it looks them up by primary key
+(:func:`~repro.storage.store.load_execution_labels`), once per store
+connection on the calling thread, and evaluates each run over arrays that
+hold just those endpoints; its ``workers`` setting has no effect.
+
+The sequential sweep path (per-run streaming fetch, inline evaluation) is
+auto-selected when the run count is below
 :data:`PARALLEL_MIN_RUNS`, when only one CPU is available, when
 ``workers=1`` is requested, or when the store is in-memory (a ``:memory:``
-database is reachable only through its one connection).  Parallel answers
-are bit-identical to sequential ones: every mode evaluates the same
+database is reachable only through its one connection).  Parallel sweep
+answers are bit-identical to sequential ones: every mode evaluates the same
 compiled-kernel formula over the same streamed arrays, and every mode
 round-trips through the same packed encoding.
 """
@@ -67,7 +70,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 from urllib.parse import quote
 
 from repro import faults
-from repro.engine.kernels import dense_pair_answers, dense_sweep_answers
+from repro.engine.kernels import dense_sweep_answers
 from repro.engine.pool import PersistentWorkerPool
 from repro.exceptions import QueryPlanError, WorkerCrashError
 from repro.faults import fault_point
@@ -208,12 +211,12 @@ def _pack_affected(executions, positions) -> tuple:
             modules.append(module)
         index_column.append(slot)
         instance_column.append(int(instance))
-    return ("sweep", tuple(modules), index_column.tobytes(), instance_column.tobytes())
+    return (tuple(modules), index_column.tobytes(), instance_column.tobytes())
 
 
 def _decode_affected(packed: tuple) -> list[tuple[str, int]]:
     """Rebuild the ``(module, instance)`` list from one packed sweep payload."""
-    _, modules, index_bytes, instance_bytes = packed
+    modules, index_bytes, instance_bytes = packed
     index_column = array("q")
     index_column.frombytes(index_bytes)
     instance_column = array("q")
@@ -222,24 +225,6 @@ def _decode_affected(packed: tuple) -> list[tuple[str, int]]:
         (modules[slot], instance)
         for slot, instance in zip(index_column, instance_column)
     ]
-
-
-def _pack_answers(answers) -> tuple:
-    """Pack one run's batch answers as a byte vector (one byte per pair)."""
-    if _np is not None and isinstance(answers, _np.ndarray):
-        blob = _np.asarray(answers, dtype=bool).tobytes()
-    else:
-        blob = bytes(bytearray(1 if answer else 0 for answer in answers))
-    return ("batch", blob)
-
-
-def _decode_outcome(packed) -> Union[list, None]:
-    """Decode one packed per-run outcome (``None`` = the run was skipped)."""
-    if packed is None:
-        return None
-    if packed[0] == "sweep":
-        return _decode_affected(packed)
-    return [bool(byte) for byte in packed[1]]
 
 
 # ----------------------------------------------------------------------
@@ -277,13 +262,12 @@ def _process_chunk_task(payload):
     The payload carries only picklable state: the store (or shard) file
     path, the chunk's run ids, each run's dense spec payload as a
     **pickled blob** (``pickle.dumps((matrix, position_of))`` — serialized
-    once per kernel per pool and reshipped as bytes), and the operation
-    descriptor (``("sweep", anchor, downstream)`` or ``("batch", pairs)``).
-    Results come back packed (see :func:`_pack_affected` /
-    :func:`_pack_answers`); the parent decodes them once at the API
+    once per kernel per pool and reshipped as bytes), and the sweep's
+    ``(anchor, downstream)``.  Results come back packed (see
+    :func:`_pack_affected`); the parent decodes them once at the API
     boundary.
     """
-    db_path, run_ids, blob_of, op = payload
+    db_path, run_ids, blob_of, (anchor, downstream) = payload
     fault_point("pool.task")
     arrays_of = _fetch_chunk_arrays(db_path, run_ids)
     # runs of one spec share one kernel, hence one blob object: unpickle
@@ -298,65 +282,29 @@ def _process_chunk_task(payload):
         return dense_cache[key]
 
     results = []
-    if op[0] == "sweep":
-        _, anchor, downstream = op
-        for run_id in run_ids:
-            arrays = arrays_of[run_id]
-            matrix, position_of = dense_of(run_id)
-            try:
-                anchor_row = arrays.executions.index(anchor)
-            except ValueError:
-                results.append((run_id, None))
-                continue
-            answers = dense_sweep_answers(
-                matrix,
-                arrays.q1,
-                arrays.q2,
-                arrays.q3,
-                _origin_rows(position_of, arrays.origins),
-                anchor_row,
-                downstream,
+    for run_id in run_ids:
+        arrays = arrays_of[run_id]
+        matrix, position_of = dense_of(run_id)
+        try:
+            anchor_row = arrays.executions.index(anchor)
+        except ValueError:
+            results.append((run_id, None))
+            continue
+        answers = dense_sweep_answers(
+            matrix,
+            arrays.q1,
+            arrays.q2,
+            arrays.q3,
+            _origin_rows(position_of, arrays.origins),
+            anchor_row,
+            downstream,
+        )
+        results.append(
+            (
+                run_id,
+                _pack_affected(arrays.executions, _np.flatnonzero(answers).tolist()),
             )
-            results.append(
-                (
-                    run_id,
-                    _pack_affected(
-                        arrays.executions, _np.flatnonzero(answers).tolist()
-                    ),
-                )
-            )
-    else:
-        _, pairs = op
-        for run_id in run_ids:
-            arrays = arrays_of[run_id]
-            matrix, position_of = dense_of(run_id)
-            row_of = {
-                execution: row for row, execution in enumerate(arrays.executions)
-            }
-            try:
-                source_rows = _np.fromiter(
-                    (row_of[source] for source, _ in pairs),
-                    dtype=_np.int64,
-                    count=len(pairs),
-                )
-                target_rows = _np.fromiter(
-                    (row_of[target] for _, target in pairs),
-                    dtype=_np.int64,
-                    count=len(pairs),
-                )
-            except KeyError:
-                results.append((run_id, None))
-                continue
-            answers = dense_pair_answers(
-                matrix,
-                arrays.q1,
-                arrays.q2,
-                arrays.q3,
-                _origin_rows(position_of, arrays.origins),
-                source_rows,
-                target_rows,
-            )
-            results.append((run_id, _pack_answers(answers)))
+        )
     return results
 
 
@@ -391,12 +339,14 @@ class CrossRunExecutor:
     ----------
     store:
         The provenance store (anything with ``list_runs`` /
-        ``get_specification`` / ``spec_kernel`` / ``run_label_arrays`` and
-        a ``path``; a sharded store additionally exposes ``shard_path_of``,
-        which makes the chunking shard-aware).
+        ``get_specification`` / ``spec_kernel`` / ``run_label_arrays`` /
+        ``read_connection_for`` and a ``path``; a sharded store
+        additionally exposes ``shard_path_of``, which makes the chunking
+        shard-aware).
     workers:
-        Worker count; ``None`` auto-sizes (see :func:`resolve_workers`) and
-        falls back to the retained sequential path for small sweeps.
+        Worker count of sweeps; ``None`` auto-sizes (see
+        :func:`resolve_workers`) and falls back to the sequential path for
+        small sweeps.  Batches always run on the calling thread.
     mode:
         ``"thread"`` (default) or ``"process"``; ``None`` reads the
         ``REPRO_PARALLEL`` environment variable.  Process mode requires
@@ -624,9 +574,9 @@ class CrossRunExecutor:
     ) -> dict[int, Any]:
         """Fan chunk tasks over the pool; returns per-run packed outcomes.
 
-        *evaluate* is the shared-kernel per-run evaluation (used by thread
-        workers and for runs process mode cannot ship); *op* is the
-        picklable operation descriptor for process tasks.  Tasks are
+        *evaluate* is the shared-kernel per-run sweep (used by thread
+        workers and for runs process mode cannot ship); *op* is the sweep's
+        picklable ``(anchor, downstream)`` for process tasks.  Tasks are
         submitted to the store's persistent pool when one is available,
         else to a fresh ephemeral pool that is torn down with the call.
         """
@@ -750,9 +700,7 @@ class CrossRunExecutor:
 
         if workers <= 1:
             return self._run_sequential(run_ids, evaluate)
-        outcomes = self._execute(
-            run_ids, workers, evaluate, ("sweep", anchor, downstream)
-        )
+        outcomes = self._execute(run_ids, workers, evaluate, (anchor, downstream))
         return self._split_outcomes(run_ids, outcomes)
 
     def sweep_pushdown(
@@ -789,14 +737,10 @@ class CrossRunExecutor:
             return {}, list(run_ids)
         workers = self._parallel_workers(len(run_ids))
         if workers <= 1:
-            groups: dict[int, tuple[Any, list[int]]] = {}
-            for run_id in run_ids:
-                connection = store.read_connection_for(run_id)
-                groups.setdefault(id(connection), (connection, []))[1].append(run_id)
             results: dict[int, Any] = {}
             from repro.storage.pushdown import pushdown_sweep
 
-            for connection, group_runs in groups.values():
+            for connection, group_runs in self._connection_groups(run_ids):
                 results.update(
                     pushdown_sweep(
                         connection, group_runs, anchor, modules, downstream=downstream
@@ -846,36 +790,62 @@ class CrossRunExecutor:
         endpoint land in ``skipped`` (the cross-run analogue of a sweep
         anchor the run never executed), so a present row is always a
         complete, trustworthy answer vector.
+
+        Only the endpoints' labels are read, by primary key
+        (:func:`~repro.storage.store.load_execution_labels`), one fetch per
+        store connection on the calling thread; a fetch of a few rows per
+        run gives a worker pool nothing to do, so ``workers`` does not
+        apply here.
         """
+        # imported lazily, like _fetch_chunk_arrays' loader
+        from repro.storage.store import load_execution_labels
+
         pairs = list(pairs)
         if not pairs:
             raise QueryPlanError("cross-run batch needs at least one pair")
         run_ids = self._run_ids(specification)
-        workers = self._parallel_workers(len(run_ids))
-
-        def evaluate(run_id: int, kernel, arrays):
-            row_of = {
-                execution: row for row, execution in enumerate(arrays.executions)
-            }
-            try:
-                source_rows = [row_of[source] for source, _ in pairs]
-                target_rows = [row_of[target] for _, target in pairs]
-            except KeyError:
-                return run_id, None
-            answers = kernel.pairs(
-                arrays.q1,
-                arrays.q2,
-                arrays.q3,
-                arrays.origins,
-                source_rows,
-                target_rows,
+        # every run is evaluated over arrays holding only the endpoints, in
+        # one fixed order, so the pair rows are the same for every run
+        row_of: dict[tuple, int] = {}
+        for pair in pairs:
+            for execution in pair:
+                row_of.setdefault(execution, len(row_of))
+        endpoints = list(row_of)
+        origins = [module for module, _ in endpoints]
+        source_rows = [row_of[source] for source, _ in pairs]
+        target_rows = [row_of[target] for _, target in pairs]
+        coordinates: dict[int, dict] = {}
+        for connection, group_runs in self._connection_groups(run_ids):
+            coordinates.update(
+                load_execution_labels(connection, group_runs, endpoints)
             )
-            return run_id, _pack_answers(answers)
+        per_run: dict[int, list] = {}
+        skipped: list[int] = []
+        for run_id in run_ids:
+            stored = coordinates[run_id]
+            try:
+                rows = [stored[execution] for execution in endpoints]
+            except KeyError:
+                skipped.append(run_id)
+                continue
+            q1, q2, q3 = zip(*rows)
+            answers = self.store.spec_kernel(run_id).pairs(
+                q1, q2, q3, origins, source_rows, target_rows
+            )
+            per_run[run_id] = [bool(answer) for answer in answers]
+        return per_run, skipped
 
-        if workers <= 1:
-            return self._run_sequential(run_ids, evaluate)
-        outcomes = self._execute(run_ids, workers, evaluate, ("batch", pairs))
-        return self._split_outcomes(run_ids, outcomes)
+    def _connection_groups(self, run_ids: Sequence[int]):
+        """``(connection, runs)`` per store connection that reads the runs.
+
+        One group on a single-file store; one per shard touched on a
+        sharded store (``store.read_connection_for``).
+        """
+        groups: dict[int, tuple[Any, list[int]]] = {}
+        for run_id in run_ids:
+            connection = self.store.read_connection_for(run_id)
+            groups.setdefault(id(connection), (connection, []))[1].append(run_id)
+        return list(groups.values())
 
     def _run_sequential(self, run_ids, evaluate) -> tuple[dict[int, Any], list[int]]:
         """The retained PR 3 path: per-run streaming fetch, inline evaluation."""
@@ -896,9 +866,9 @@ class CrossRunExecutor:
         per_run: dict[int, Any] = {}
         skipped: list[int] = []
         for run_id in run_ids:
-            answer = _decode_outcome(outcomes[run_id])
-            if answer is None:
+            packed = outcomes[run_id]  # None: the run was skipped
+            if packed is None:
                 skipped.append(run_id)
             else:
-                per_run[run_id] = answer
+                per_run[run_id] = _decode_affected(packed)
         return per_run, skipped

@@ -36,6 +36,7 @@ handle surface) — i.e. every
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
@@ -75,6 +76,28 @@ class EngineStats:
         self.queries = 0
         self.batches = 0
         self.cache_hits = 0
+
+
+def _handle_pair(index: Any, key: object) -> Optional[tuple]:
+    """Vertex pair -> handle pair over *index*'s interner, or ``None``."""
+    if not isinstance(key, tuple) or len(key) != 2:
+        return None
+    try:
+        id_map = index.interner.id_map
+    except LabelingError:
+        # e.g. a stale traversal interner: membership must answer False,
+        # not raise, for a pair that can no longer be resolved
+        return None
+    source_id = id_map.get(key[0])
+    target_id = id_map.get(key[1])
+    if source_id is None or target_id is None:
+        return None
+    return (source_id, target_id)
+
+
+def _no_handle_pair(key: object) -> None:
+    """The translator of an index without vertex handles."""
+    return None
 
 
 class _HotPairCache(OrderedDict):
@@ -160,7 +183,14 @@ class QueryEngine:
         # (Handles survive edge surgery — only the vertex set invalidates
         # an interner — so this binding outlives edge updates.)
         self._id_map: Optional[dict] = None
-        self._pair_cache: _HotPairCache = _HotPairCache(self._translate_pair)
+        # the translator closes over the index, not the engine: a cache
+        # holding a bound method would make every engine a reference
+        # cycle, freed only by the cyclic garbage collector
+        self._pair_cache: _HotPairCache = _HotPairCache(
+            functools.partial(_handle_pair, index)
+            if self._has_handles
+            else _no_handle_pair
+        )
         self.stats = EngineStats()
 
     def _check_version(self) -> None:
@@ -189,22 +219,6 @@ class QueryEngine:
                 self._index, spec_kernel=self._spec_kernel
             )
         return self._compiled_kernel
-
-    def _translate_pair(self, key: object) -> Optional[tuple]:
-        """Vertex pair -> handle pair, or ``None`` when it cannot resolve."""
-        if not self._has_handles or not isinstance(key, tuple) or len(key) != 2:
-            return None
-        try:
-            id_map = self._index.interner.id_map
-        except LabelingError:
-            # e.g. a stale traversal interner: membership must answer False,
-            # not raise, for a pair that can no longer be resolved
-            return None
-        source_id = id_map.get(key[0])
-        target_id = id_map.get(key[1])
-        if source_id is None or target_id is None:
-            return None
-        return (source_id, target_id)
 
     # ------------------------------------------------------------------
     # introspection

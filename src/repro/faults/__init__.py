@@ -13,7 +13,9 @@ unreliable resource (sockets, worker pools, SQLite):
 point                      where it fires
 =========================  =====================================================
 ``store.connect``          :func:`repro.storage.database.connect`
-``store.load_label_arrays``  the streaming label fetch workers and stores share
+``store.load_label_arrays``  the streaming label fetch workers and stores share,
+                           and the primary-key label lookup
+                           (:func:`repro.storage.store.load_execution_labels`)
 ``pool.submit``            :meth:`repro.engine.pool.PersistentWorkerPool.submit`
 ``pool.task``              inside every cross-run chunk task (worker side)
 ``pushdown.sql``           :func:`repro.storage.pushdown.pushdown_sweep`

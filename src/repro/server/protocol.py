@@ -200,8 +200,18 @@ class Writer:
     def put_executions(self, executions: Sequence[tuple]) -> "Writer":
         """A counted list of ``(module, instance)`` executions."""
         self.put_u32(len(executions))
+        parts = self._parts
+        pack_i64 = _I64.pack
+        # answers repeat few module names over many rows: encode each
+        # distinct name and its length prefix once per list
+        headers: dict = {}
         for module, instance in executions:
-            self.put_str(str(module)).put_i64(int(instance))
+            header = headers.get(module)
+            if header is None:
+                encoded = str(module).encode("utf-8")
+                header = headers[module] = _LEN.pack(len(encoded)) + encoded
+            parts += header
+            parts += pack_i64(int(instance))
         return self
 
     def getvalue(self) -> bytes:
@@ -215,13 +225,16 @@ class Reader:
         self._view = memoryview(payload)
         self._offset = 0
 
+    def _truncated(self, count: int, offset: int) -> ProtocolError:
+        return ProtocolError(
+            f"truncated payload: needed {count} more bytes at offset "
+            f"{offset}, frame has {len(self._view)}"
+        )
+
     def _take(self, count: int) -> memoryview:
         end = self._offset + count
         if end > len(self._view):
-            raise ProtocolError(
-                f"truncated payload: needed {count} more bytes at offset "
-                f"{self._offset}, frame has {len(self._view)}"
-            )
+            raise self._truncated(count, self._offset)
         chunk = self._view[self._offset : end]
         self._offset = end
         return chunk
@@ -257,7 +270,34 @@ class Reader:
 
     def executions(self) -> list[tuple]:
         count = self.u32()
-        return [(self.str(), self.i64()) for _ in range(count)]
+        view, offset, size = self._view, self._offset, len(self._view)
+        unpack_len, unpack_i64 = _LEN.unpack_from, _I64.unpack_from
+        # the same fields as count x (str(), i64()), read in one loop over
+        # the payload; each distinct module name is decoded once per list
+        names: dict = {}
+        executions = []
+        append = executions.append
+        for _ in range(count):
+            if offset + 4 > size:
+                raise self._truncated(4, offset)
+            (length,) = unpack_len(view, offset)
+            start = offset + 4
+            offset = start + length
+            if offset + 8 > size:
+                raise self._truncated(length + 8, start)
+            raw = bytes(view[start:offset])
+            name = names.get(raw)
+            if name is None:
+                try:
+                    name = names[raw] = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ProtocolError(
+                        f"invalid UTF-8 in string field: {exc}"
+                    ) from None
+            append((name, unpack_i64(view, offset)[0]))
+            offset += 8
+        self._offset = offset
+        return executions
 
     def expect_end(self) -> None:
         if self._offset != len(self._view):

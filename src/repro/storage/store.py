@@ -13,9 +13,9 @@ issues one label SELECT per endpoint and is fine for interactive use.  The
 batched path (:meth:`ProvenanceStore.reaches_batch`,
 :meth:`ProvenanceStore.labels_of_many`, :meth:`ProvenanceStore.downstream_of`,
 :meth:`ProvenanceStore.upstream_of`) resolves all labels behind a query set
-with a single row-value ``IN`` SELECT (chunked at :data:`LABEL_FETCH_CHUNK`,
-guarded against SQLite's 999-host-parameter limit) and evaluates the
-Algorithm 3 predicate batch-wise.
+with a single primary-key lookup (:func:`load_execution_labels`, chunked at
+:data:`LABEL_FETCH_CHUNK`, guarded against SQLite's 999-host-parameter
+limit) and evaluates the Algorithm 3 predicate batch-wise.
 
 For replayed workloads the store additionally keeps, per ``(run_id,
 spec_scheme)``, a cached skeleton-labeled view of the run whose labels are
@@ -86,6 +86,8 @@ __all__ = [
     "row_value_chunk",
     "iter_value_chunks",
     "load_label_arrays",
+    "load_execution_labels",
+    "label_lookup_sql",
     "insert_specification",
     "insert_labeled_run",
     "warn_deprecated_query",
@@ -98,6 +100,9 @@ PathLike = Union[str, Path]
 #: and kernel are rebuilt from SQL on the next query), bounding store memory
 #: on workloads that sweep across many runs
 STORED_RUN_CACHE_LIMIT = 16
+
+#: the ``runs`` columns :meth:`ProvenanceStore._run_row` reads by default
+_RUN_METADATA = "run_id, spec_id, name, n_vertices, n_edges, spec_scheme"
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,69 @@ def load_label_arrays(
                 origins=list(modules[lo:hi]),
             )
     return arrays
+
+
+def label_lookup_sql(run_count: int, execution_count: int) -> str:
+    """The primary-key lookup behind :func:`load_execution_labels`.
+
+    The wanted executions are a ``VALUES`` table joined to ``run_labels``,
+    so SQLite seeks the primary key ``(run_id, module, instance)`` once per
+    run and execution instead of reading every row of the run.
+    """
+    wanted = ", ".join(["(?, ?)"] * execution_count)
+    if run_count == 1:
+        runs = "l.run_id = ?"
+    else:
+        runs = f"l.run_id IN ({', '.join('?' * run_count)})"
+    return (
+        f"WITH wanted(module, instance) AS (VALUES {wanted}) "
+        "SELECT l.run_id, l.module, l.instance, l.q1, l.q2, l.q3 "
+        "FROM run_labels l JOIN wanted w "
+        "ON l.module = w.module AND l.instance = w.instance "
+        f"WHERE {runs}"
+    )
+
+
+def load_execution_labels(
+    connection: sqlite3.Connection,
+    run_ids: Sequence[int],
+    executions: Sequence[tuple[str, int]],
+) -> dict[int, dict[tuple[str, int], tuple[int, int, int]]]:
+    """Fetch chosen executions' coordinates in chosen runs, by primary key.
+
+    Returns ``{run_id: {(module, instance): (q1, q2, q3)}}`` with one entry
+    per run id; an execution a run does not store is absent from its dict,
+    so existence policy is the caller's.  The origin module of a label is
+    its ``module`` (the store persists it in the ``skeleton`` column too).
+    Run ids and executions share each statement's parameter budget, so no
+    statement binds more than :data:`SQLITE_MAX_VARIABLE_NUMBER` however
+    many of either are asked for.
+    """
+    fault_point("store.load_label_arrays")
+    run_ids = [int(run_id) for run_id in run_ids]
+    executions = list(executions)
+    found: dict[int, dict[tuple[str, int], tuple[int, int, int]]] = {
+        run_id: {} for run_id in run_ids
+    }
+    # size the run chunk as if the largest execution chunk rides along (at
+    # most half the budget), then size each execution chunk against the
+    # actual run chunk
+    pair_room = 2 * min(len(executions), SQLITE_MAX_VARIABLE_NUMBER // 4)
+    for run_chunk, _ in iter_value_chunks(
+        run_ids, columns_per_row=1, reserved=pair_room
+    ):
+        for execution_chunk, _ in iter_value_chunks(
+            executions, columns_per_row=2, reserved=len(run_chunk)
+        ):
+            parameters = [value for pair in execution_chunk for value in pair]
+            parameters.extend(run_chunk)
+            cursor = connection.execute(
+                label_lookup_sql(len(run_chunk), len(execution_chunk)), parameters
+            )
+            cursor.row_factory = None
+            for run_id, module, instance, q1, q2, q3 in cursor.fetchall():
+                found[run_id][(module, instance)] = (q1, q2, q3)
+    return found
 
 
 def insert_specification(
@@ -533,7 +601,7 @@ class ProvenanceStore(WorkerPoolOwner):
 
     def get_run(self, run_id: int) -> WorkflowRun:
         """Load the run graph with identifier *run_id*."""
-        row = self._run_row(run_id)
+        row = self._run_row(run_id, "spec_id, document")
         spec = self._load_specification(int(row["spec_id"]))
         return run_from_json(row["document"], spec)
 
@@ -554,10 +622,12 @@ class ProvenanceStore(WorkerPoolOwner):
             ).fetchall()
         return [dict(row) for row in rows]
 
-    def _run_row(self, run_id: int) -> sqlite3.Row:
+    def _run_row(self, run_id: int, columns: str = _RUN_METADATA) -> sqlite3.Row:
+        # the metadata columns by default: the run's JSON document is most
+        # of the row's bytes, and only get_run needs it
         self._require_open()
         row = self._connection.execute(
-            "SELECT * FROM runs WHERE run_id = ?", (run_id,)
+            f"SELECT {columns} FROM runs WHERE run_id = ?", (run_id,)
         ).fetchone()
         if row is None:
             raise StorageError(f"no run with id {run_id}")
@@ -661,7 +731,7 @@ class ProvenanceStore(WorkerPoolOwner):
     ) -> dict[tuple[str, int], RunLabel]:
         """Fetch the stored labels of many executions, batched over SQL.
 
-        The distinct executions are resolved with row-value ``IN`` queries of
+        The distinct executions are looked up by primary key in chunks of
         up to :data:`LABEL_FETCH_CHUNK` executions each, so any query set of
         that size or less costs exactly **one** SQL round trip (versus one
         per execution through :meth:`label_of`).  Missing executions raise
@@ -671,35 +741,15 @@ class ProvenanceStore(WorkerPoolOwner):
         index = self._spec_index(run_id)
         spec_label_of = index.label_of
         distinct = _distinct_executions(executions)
-        labels: dict[tuple[str, int], RunLabel] = {}
-        for row in self._fetch_label_rows(run_id, distinct):
-            labels[(row["module"], int(row["instance"]))] = RunLabel(
-                q1=int(row["q1"]),
-                q2=int(row["q2"]),
-                q3=int(row["q3"]),
-                skeleton=spec_label_of(row["skeleton"]),
+        found = load_execution_labels(self._connection, [run_id], distinct)[run_id]
+        labels = {
+            (module, instance): RunLabel(
+                q1=q1, q2=q2, q3=q3, skeleton=spec_label_of(module)
             )
+            for (module, instance), (q1, q2, q3) in found.items()
+        }
         _require_complete(run_id, distinct, labels)
         return labels
-
-    def _fetch_label_rows(self, run_id: int, executions: list[tuple[str, int]]):
-        """Yield the ``run_labels`` rows of *executions*, chunked over SQL.
-
-        Chunks are sized by :func:`row_value_chunk`, so each round trip binds
-        at most :data:`SQLITE_MAX_VARIABLE_NUMBER` host parameters.
-        """
-        for chunk, placeholders in iter_value_chunks(
-            executions, columns_per_row=2, reserved=1
-        ):
-            parameters: list = [run_id]
-            for module, instance in chunk:
-                parameters.append(module)
-                parameters.append(instance)
-            yield from self._connection.execute(
-                "SELECT module, instance, q1, q2, q3, skeleton FROM run_labels "
-                f"WHERE run_id = ? AND (module, instance) IN (VALUES {placeholders})",
-                parameters,
-            ).fetchall()
 
     def all_labels_of(self, run_id: int) -> dict[tuple[str, int], RunLabel]:
         """Fetch every stored label of a run in one SQL round trip."""
@@ -825,12 +875,13 @@ class ProvenanceStore(WorkerPoolOwner):
         """The stored-run batch plan (used by the session's BatchQuery).
 
         Labels the batch needs but the run's cached view is missing are
-        fetched with chunked row-value ``IN`` SELECTs (a single SQL round
-        trip for up to :data:`LABEL_FETCH_CHUNK` distinct executions) and
-        kept, so replaying a workload touches SQL only once; when the
-        cached view is complete the batch is answered by the compiled
-        :meth:`query_engine` kernel instead of re-evaluating the predicate
-        from label objects.  Returns one boolean per pair, in order.
+        looked up by primary key (:func:`load_execution_labels`: a single
+        SQL round trip for up to :data:`LABEL_FETCH_CHUNK` distinct
+        executions) and kept, so replaying a workload touches SQL only
+        once; when the cached view is complete the batch is answered by
+        the compiled :meth:`query_engine` kernel instead of re-evaluating
+        the predicate from label objects.  Returns one boolean per pair,
+        in order.
         """
         coerced = [
             (_coerce_vertex(source), _coerce_vertex(target)) for source, target in pairs
@@ -1145,8 +1196,8 @@ class _StoredRunIndex(VertexHandleAPI):
     def ensure(self, executions: list[tuple[str, int]]) -> None:
         """Load the labels of *executions* that are not cached yet.
 
-        Missing labels are fetched with chunked row-value ``IN`` SELECTs;
-        executions absent from the store raise
+        Missing labels are fetched by primary key, in chunks under SQLite's
+        host-parameter limit; executions absent from the store raise
         :class:`~repro.exceptions.StorageError` (same contract as
         :meth:`ProvenanceStore.labels_of_many`).
         """
@@ -1154,17 +1205,14 @@ class _StoredRunIndex(VertexHandleAPI):
         if not needed:
             return
         spec_label_of = self.spec_index.label_of
-        fetched: dict[tuple[str, int], RunLabel] = {}
-        for row in self._store._fetch_label_rows(self.run_id, needed):
-            fetched[(row["module"], int(row["instance"]))] = RunLabel(
-                q1=int(row["q1"]),
-                q2=int(row["q2"]),
-                q3=int(row["q3"]),
-                skeleton=spec_label_of(row["skeleton"]),
-            )
+        fetched = load_execution_labels(
+            self._store._connection, [self.run_id], needed
+        )[self.run_id]
         _require_complete(self.run_id, needed, fetched)
-        for (module, instance), label in fetched.items():
-            self._cached[RunVertex(module, instance)] = label
+        for (module, instance), (q1, q2, q3) in fetched.items():
+            self._cached[RunVertex(module, instance)] = RunLabel(
+                q1=q1, q2=q2, q3=q3, skeleton=spec_label_of(module)
+            )
         self.version += 1
 
     def ensure_all(self) -> None:

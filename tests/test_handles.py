@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import sqlite3
+import weakref
 
 import pytest
 
@@ -22,6 +25,18 @@ from repro.storage.store import (
     row_value_chunk,
 )
 from repro.workflow.run import RunVertex
+
+
+@contextlib.contextmanager
+def cycle_collector_off():
+    """Run the body with the cyclic garbage collector disabled."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def small_dag() -> DiGraph:
@@ -315,6 +330,18 @@ class TestEngineHandleCache:
         assert (h, a) not in engine._pair_cache
         assert (RunVertex("ghost", 1), a) not in engine._pair_cache
 
+    def test_engine_is_freed_without_the_cycle_collector(self, paper_labeled_run):
+        # the pair cache must not point back at its engine: an engine in a
+        # reference cycle outlives its last reference until a full
+        # collection, with its compiled kernel and cached labels
+        engine = QueryEngine(paper_labeled_run)
+        engine.reaches(RunVertex("a", 1), RunVertex("h", 1))
+        assert (RunVertex("a", 1), RunVertex("h", 1)) in engine._pair_cache
+        freed = weakref.ref(engine)
+        with cycle_collector_off():
+            del engine
+            assert freed() is None
+
     def test_reaches_ids_bypasses_cache_for_unstable_indexes(self):
         graph = DiGraph(edges=[("a", "b"), ("c", "d")])
         index = build_index("bfs", graph)
@@ -361,7 +388,7 @@ class TestRowValueChunkGuard:
         self, monkeypatch, synthetic_spec, synthetic_run
     ):
         # With LABEL_FETCH_CHUNK forced past the limit, only the guard keeps
-        # the row-value SELECT under 999 bound parameters.
+        # the label SELECT under 999 bound parameters.
         labeled = SkeletonLabeler(synthetic_spec, "tcm").label_run(
             synthetic_run.run, plan=synthetic_run.plan, context=synthetic_run.context
         )
@@ -445,6 +472,27 @@ class TestStoredEngine:
         # evicted runs still answer (labels re-fetched transparently)
         first_pair = [synthetic_run.run.vertices()[0]] * 2
         assert store.reaches_batch(run_ids[0], [tuple(first_pair)]) == [True]
+
+    def test_evicted_runs_are_freed_on_eviction(
+        self, store, paper_labeled_run, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "STORED_RUN_CACHE_LIMIT", 1)
+        original_name = paper_labeled_run.run.name
+        try:
+            run_ids = []
+            for name in ("evicted-first", "evicted-second"):
+                paper_labeled_run.run.name = name
+                run_ids.append(store.add_labeled_run(paper_labeled_run))
+        finally:
+            paper_labeled_run.run.name = original_name  # the fixture is shared
+        engine = store.query_engine(run_ids[0])
+        assert engine.reaches(("a", 1), ("h", 1)) is True
+        freed = [weakref.ref(engine), weakref.ref(engine.index)]
+        del engine
+        with cycle_collector_off():
+            store.query_engine(run_ids[1])  # evicts the first run
+            assert run_ids[0] not in store._stored_run_cache
+            assert [ref() for ref in freed] == [None, None]
 
     def test_legacy_rows_without_vertex_ids_still_answer(
         self, store, paper_labeled_run

@@ -30,6 +30,7 @@ from repro.exceptions import QueryPlanError, StorageError
 from repro.skeleton.skl import SkeletonLabeler
 from repro.storage.store import ProvenanceStore
 from repro.workflow.execution import generate_run_with_size
+from repro.workflow.run import RunVertex
 
 RUN_COUNT = max(PARALLEL_MIN_RUNS, PREFETCH_CHUNK_RUNS) + 2
 
@@ -234,6 +235,81 @@ class TestCrossRunQueries:
     def test_empty_pairs_rejected_at_query_construction(self):
         with pytest.raises(QueryPlanError):
             CrossRunBatchQuery("spec", [])
+
+    def test_batch_workers_validated_though_unused(self):
+        with pytest.raises(QueryPlanError):
+            CrossRunBatchQuery("spec", [(("a", 1), ("h", 1))], workers=0)
+        with pytest.raises(QueryPlanError):
+            CrossRunPointQuery("spec", ("a", 1), ("h", 1), workers=-2)
+
+    def test_batches_read_only_their_endpoints(self, parallel_store, monkeypatch):
+        import repro.storage.store as store_module
+
+        store, run_ids, spec = parallel_store
+        pairs = [(("a", 1), ("h", 1)), (("c", 2), ("a", 1)), (("b", 1), ("h", 1))]
+        session = ProvenanceSession(store)
+        expected = {
+            run_id: [
+                bool(a) for a in session.run(BatchQuery(pairs=pairs, run_id=run_id))
+            ]
+            for run_id in run_ids
+        }
+
+        def whole_run_fetch(*args, **kwargs):
+            raise AssertionError("a cross-run batch streamed whole runs")
+
+        monkeypatch.setattr(store_module, "load_label_arrays", whole_run_fetch)
+        for workers in (None, 1, 3):
+            result = session.run(CrossRunBatchQuery(spec.name, pairs, workers=workers))
+            assert result.per_run == {
+                run_id: expected[run_id] for run_id in result.per_run
+            }
+            assert set(result.per_run) | set(result.skipped_runs) == set(run_ids)
+            point = session.run(
+                CrossRunPointQuery(spec.name, ("a", 1), ("h", 1), workers=workers)
+            )
+            assert point.per_run == {
+                run_id: expected[run_id][0] for run_id in point.per_run
+            }
+
+    def test_parameter_budget_spans_runs_and_endpoints(
+        self, tmp_path, paper_spec, monkeypatch
+    ):
+        import sqlite3
+
+        import repro.storage.database as database_module
+
+        labeler = SkeletonLabeler(paper_spec, "tcm")
+        # two runs with one execution set (never skipped) and one other
+        labeled = [
+            labeler.label_run(
+                generate_run_with_size(paper_spec, 520, seed=seed, name=name).run
+            )
+            for seed, name in ((3, "wide-a"), (3, "wide-b"), (4, "other"))
+        ]
+        vertices = labeled[0].run.vertices()
+        pairs = [
+            ((u.module, u.instance), (v.module, v.instance))
+            for u, v in zip(vertices, reversed(vertices))
+        ]
+        # more host parameters than SQLite's historical limit, even with
+        # the chunk constant lifted far above it
+        limit = database_module.SQLITE_MAX_VARIABLE_NUMBER
+        assert len(labeled) + 2 * len(vertices) > limit
+        monkeypatch.setattr(database_module, "LABEL_FETCH_CHUNK", 2000)
+        with ProvenanceStore(tmp_path / "wide.db") as store:
+            run_ids = [store.add_labeled_run(item) for item in labeled]
+            if hasattr(store._connection, "setlimit"):  # Python 3.11+
+                store._connection.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, limit)
+            per_run, skipped = CrossRunExecutor(store).batch(paper_spec.name, pairs)
+        assert set(per_run) | set(skipped) == set(run_ids)
+        assert run_ids[0] in per_run and run_ids[1] in per_run
+        for run_id, item in zip(run_ids, labeled):
+            if run_id in per_run:
+                assert per_run[run_id] == [
+                    item.reaches(RunVertex(*source), RunVertex(*target))
+                    for source, target in pairs
+                ]
 
     def test_unplannable_off_store(self, paper_spec, paper_run):
         labeled = SkeletonLabeler(paper_spec, "tcm").label_run(paper_run)

@@ -3,9 +3,10 @@
 The routing catalog's contract extends the sharded store's transparency
 guarantee: after **any** interleaving of maintenance operations —
 ``rebalance`` to arbitrary shards, ``replicate``, ingest of late runs,
-run deletion — a sharded store must keep answering cross-run sweeps and
-per-run label reads bit-identically to a single-file store that saw the
-same data operations (which has no maintenance to do).  Thread and
+run deletion — a sharded store must keep answering cross-run sweeps,
+cross-run batches and per-run label reads bit-identically to a
+single-file store that saw the same data operations (which has no
+maintenance to do).  Thread and
 process pools are both exercised, so relocated rows and replica
 snapshots are read over every connection style the executor uses.
 """
@@ -91,11 +92,14 @@ def test_op_sequences_stay_bit_identical_to_the_single_file_store(
         for index, name in enumerate(SPEC_NAMES * 2)
     ]
     anchors = {}
+    pairs = {}
     for item in initial:
         name = item.run.specification.name
         if name not in anchors:
             vertex = item.run.vertices()[0]
             anchors[name] = (vertex.module, vertex.instance)
+            ends = [(v.module, v.instance) for v in item.run.vertices()[:3]]
+            pairs[name] = [(u, v) for u in ends for v in ends]
 
     with ProvenanceStore(base / "single.db") as single, ShardedProvenanceStore(
         base / "sharded", SHARDS
@@ -112,6 +116,13 @@ def test_op_sequences_stay_bit_identical_to_the_single_file_store(
                 )
                 got = CrossRunExecutor(sharded, workers=2, mode=mode).sweep(
                     name, anchors[name]
+                )
+                assert list(got[0].values()) == list(want[0].values())
+                assert len(got[1]) == len(want[1])
+                # batches read each shard connection a spec spans (split)
+                want = CrossRunExecutor(single, workers=1).batch(name, pairs[name])
+                got = CrossRunExecutor(sharded, workers=2, mode=mode).batch(
+                    name, pairs[name]
                 )
                 assert list(got[0].values()) == list(want[0].values())
                 assert len(got[1]) == len(want[1])

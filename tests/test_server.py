@@ -191,6 +191,33 @@ class TestWireCodecs:
         with pytest.raises(ProtocolError, match="UTF-8"):
             Reader(blob).str()
 
+    def test_execution_list_prefixes_are_truncated(self):
+        blob = (
+            Writer().put_executions([("m1", 2), ("mödule", -3), ("m1", 9)]).getvalue()
+        )
+        for end in range(len(blob)):
+            with pytest.raises(ProtocolError, match="truncated"):
+                Reader(blob[:end]).executions()
+
+    def test_execution_list_with_invalid_utf8_raises(self):
+        # a count of two: one valid execution, then a name that is not UTF-8
+        blob = Writer().put_u32(2).put_str("ok").put_i64(1).put_u32(2).getvalue()
+        blob += b"\xff\xfe" + Writer().put_i64(1).getvalue()
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            Reader(blob).executions()
+
+    def test_repeated_module_names_round_trip(self):
+        executions = [("m", 1), ("n", 2), ("m", 3), ("m", 1), ("n", -5)]
+        writer = Writer().put_executions(executions)
+        # byte-for-byte the field-by-field encoding
+        expected = Writer().put_u32(len(executions))
+        for module, instance in executions:
+            expected.put_str(module).put_i64(instance)
+        assert writer.getvalue() == expected.getvalue()
+        reader = Reader(writer.getvalue())
+        assert reader.executions() == executions
+        reader.expect_end()
+
     def test_url_helpers(self):
         assert is_remote_target("repro://host:1/") and not is_remote_target("/a/b")
         assert parse_url("repro://example:4321/") == ("example", 4321)

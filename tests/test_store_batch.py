@@ -9,7 +9,12 @@ import pytest
 import repro.storage.database as database_module
 from repro.exceptions import StorageError
 from repro.skeleton.skl import SkeletonLabeler
-from repro.storage.store import LABEL_FETCH_CHUNK, ProvenanceStore
+from repro.storage.store import (
+    LABEL_FETCH_CHUNK,
+    ProvenanceStore,
+    label_lookup_sql,
+    load_execution_labels,
+)
 from repro.workflow.run import RunVertex
 
 # The module deliberately drives the deprecated store query shims (the
@@ -159,6 +164,45 @@ class TestSQLRoundTrips:
         assert batch == [labeled.reaches(source, target) for source, target in pairs]
         expected_round_trips = -(-len(distinct) // 7)  # ceil division
         assert counter.count("FROM run_labels") == expected_round_trips
+
+
+class TestPrimaryKeyLookup:
+    @pytest.mark.parametrize("run_count, execution_count", [(1, 1), (1, 4), (3, 2)])
+    def test_lookup_seeks_the_primary_key(self, run_count, execution_count):
+        connection = database_module.connect(":memory:")
+        database_module.initialize_schema(connection)
+        parameters = [
+            value for index in range(execution_count) for value in (f"m{index}", 1)
+        ] + list(range(1, run_count + 1))
+        try:
+            details = [
+                row[3]
+                for row in connection.execute(
+                    "EXPLAIN QUERY PLAN "
+                    + label_lookup_sql(run_count, execution_count),
+                    parameters,
+                )
+            ]
+        finally:
+            connection.close()
+        # one seek per run and execution on the full primary key; a search
+        # on run_id alone (idx_run_labels_run) would read the whole run
+        assert (
+            "SEARCH l USING INDEX sqlite_autoindex_run_labels_1 "
+            "(run_id=? AND module=? AND instance=?)" in details
+        )
+        assert not any("(run_id=?)" in detail for detail in details)
+        assert not any(detail.startswith("SCAN l") for detail in details)
+
+    def test_lookup_reports_only_stored_executions(self, store, stored_run):
+        found = load_execution_labels(
+            store._connection, [stored_run, 10_000], [("a", 1), ("zz", 1)]
+        )
+        assert set(found) == {stored_run, 10_000}
+        assert list(found[stored_run]) == [("a", 1)]
+        label = store.label_of(stored_run, "a", 1)
+        assert found[stored_run][("a", 1)] == (label.q1, label.q2, label.q3)
+        assert found[10_000] == {}
 
 
 class TestDataDependencyBatching:
