@@ -8,13 +8,13 @@ hash of its name — and walks the write-to-read life cycle:
 
 1. **ingest** — runs of several specifications, batched through
    ``add_labeled_runs``: the batch is grouped per shard and each shard's
-   sub-batch commits as one transaction, concurrently on the store's
-   persistent worker pool;
+   sub-batch commits as one transaction, the shards concurrently, one
+   thread each;
 2. **sweep** — a cross-run dependency sweep through the same declarative
    session any store offers; the parallel executor's workers each open a
    read-only connection to exactly the shard file their runs live in;
-3. **reuse** — the compiled plan re-executes on the already-running pool,
-   and ``cache_stats()`` shows the per-shard caches plus pool counters.
+3. **reuse** — the compiled plan re-executes with its kernels already
+   compiled, and ``cache_stats()`` shows the per-shard caches.
 
 Everything the single-file store answers, the sharded store answers
 bit-identically — only the write path scales differently.
@@ -89,7 +89,7 @@ def main() -> None:
             f"{some_vertex}: {'reachable' if answer else 'not reachable'}"
         )
 
-        # -- 3. compiled plans reuse the persistent pool ----------------
+        # -- 3. compiled plans re-execute on warm kernels ---------------
         pairs = [(anchor, (v.module, v.instance)) for v in first_run.vertices()[:8]]
         plan = session.compile(
             CrossRunBatchQuery(specs[0].name, pairs, workers=2)
@@ -105,11 +105,6 @@ def main() -> None:
             key: stats[key]
             for key in ("shards", "engines_cached", "spec_kernels_cached")
         })
-        for mode, pool in stats.get("pools", {}).items():
-            print(
-                f"  {mode} pool: started={pool['started']} "
-                f"starts={pool['starts']} tasks={pool['tasks_submitted']}"
-            )
 
 
 if __name__ == "__main__":

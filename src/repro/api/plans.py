@@ -268,7 +268,7 @@ class _CrossRunPlanBase(QueryPlan):
     :class:`~repro.storage.store.RunLabelArrays` (or pushes the sweep into
     SQL): the :class:`~repro.engine.parallel.CrossRunExecutor` prefetches
     runs in chunks (one ordered SQL scan each) and fans the independent
-    per-run payloads across a worker pool, falling back to the sequential
+    per-run payloads across worker threads, falling back to the sequential
     streaming path for small run counts.  A batch or point plan reads only
     its endpoints' labels, by primary key, on the calling thread, so the
     worker count below matters to sweeps alone.
@@ -281,11 +281,8 @@ class _CrossRunPlanBase(QueryPlan):
                 f"{type(query).__name__} sweeps stored runs; this session "
                 f"fronts {target.describe()}"
             )
-        # compiled once with the plan: re-executions reuse the executor,
-        # its resolved REPRO_PARALLEL mode, and the store-owned persistent
-        # worker pool (lazily started on the first parallel execution and
-        # closed with the store), so a monitoring loop re-executing one
-        # plan pays neither pool startup nor process-mode re-pickling
+        # compiled once with the plan: re-executions reuse the executor and
+        # its worker setting (a parallel sweep opens its threads per call)
         workers = query.workers
         if workers is None:
             # replica awareness: a spec whose shard carries attached read

@@ -1140,9 +1140,9 @@ def throughput_parallel_cross_run(
     Three workloads share one file-backed store per scheme:
 
     * ``sweep`` — the PR 3 sequential streaming sweep (``workers=1``)
-      against the parallel executor in both pool modes (thread, process);
-      every parallel result set is verified bit-identical to the
-      sequential one before any number is reported;
+      against the parallel executor's worker threads; every parallel
+      result set is verified bit-identical to the sequential one before
+      any number is reported;
     * ``cross-batch`` — the same pair workload asked of every run.  The
       baseline is what PR 3 offered for that question: one per-run
       session ``BatchQuery`` through the store's cached engines.  The
@@ -1207,36 +1207,35 @@ def throughput_parallel_cross_run(
                 spec.name, anchor
             ),
         )
-        for mode in ("thread", "process"):
-            parallel_sweep, parallel_seconds = _timed_cold_store(
-                database,
-                lambda store: CrossRunExecutor(
-                    store, workers=PARALLEL_BENCH_WORKERS, mode=mode
-                ).sweep(spec.name, anchor),
+        parallel_sweep, parallel_seconds = _timed_cold_store(
+            database,
+            lambda store: CrossRunExecutor(
+                store, workers=PARALLEL_BENCH_WORKERS
+            ).sweep(spec.name, anchor),
+        )
+        if parallel_sweep != sequential_sweep:
+            raise ReproError(
+                f"parallel sweep disagrees with the sequential path on "
+                f"scheme {scheme!r}"
             )
-            if parallel_sweep != sequential_sweep:
-                raise ReproError(
-                    f"parallel {mode} sweep disagrees with the sequential "
-                    f"path on scheme {scheme!r}"
-                )
-            rows.append(
-                {
-                    "workload": "sweep",
-                    "spec_scheme": scheme,
-                    "mode": mode,
-                    "runs": run_count,
-                    "vertices_per_run": generated_runs[0].vertex_count,
-                    "workers": PARALLEL_BENCH_WORKERS,
-                    "baseline_ms": round(sequential_seconds * 1e3, 3),
-                    "optimized_ms": round(parallel_seconds * 1e3, 3),
-                    "swept_vps": round(total_vertices / parallel_seconds)
-                    if parallel_seconds > 0
-                    else None,
-                    "speedup": round(sequential_seconds / parallel_seconds, 2)
-                    if parallel_seconds > 0
-                    else None,
-                }
-            )
+        rows.append(
+            {
+                "workload": "sweep",
+                "spec_scheme": scheme,
+                "mode": "thread",
+                "runs": run_count,
+                "vertices_per_run": generated_runs[0].vertex_count,
+                "workers": PARALLEL_BENCH_WORKERS,
+                "baseline_ms": round(sequential_seconds * 1e3, 3),
+                "optimized_ms": round(parallel_seconds * 1e3, 3),
+                "swept_vps": round(total_vertices / parallel_seconds)
+                if parallel_seconds > 0
+                else None,
+                "speedup": round(sequential_seconds / parallel_seconds, 2)
+                if parallel_seconds > 0
+                else None,
+            }
+        )
 
         # -- cross-batch: per-run engine loop vs the streaming batch ------
         def engine_loop(store):
@@ -1323,8 +1322,8 @@ def throughput_parallel_cross_run(
             "to its sequential baseline before any number is reported",
             "sweep rows: the PR 3 sequential streaming sweep vs the chunked "
             "parallel executor (workers pinned at "
-            f"{PARALLEL_BENCH_WORKERS}); pool rows legitimately dip below "
-            "1x on single-core hosts, where the production executor "
+            f"{PARALLEL_BENCH_WORKERS}); these rows legitimately dip below "
+            "1x on few-core hosts, where the production executor "
             "auto-selects the sequential path instead",
             "cross-batch rows: the same pairs asked of every run — per-run "
             "session BatchQuery loop (full cached engine per run) vs the "
@@ -1337,11 +1336,11 @@ def throughput_parallel_cross_run(
 
 
 #: sharded ingest workload per scale: (specifications, runs per spec,
-#: vertices per run, shard count, plan re-executions for the pool-reuse row)
+#: vertices per run, shard count)
 _SHARDED_INGEST_SETTINGS = {
-    "smoke": (4, 3, 400, 4, 6),
-    "default": (8, 4, 2_500, 4, 10),
-    "paper": (12, 6, 8_000, 8, 12),
+    "smoke": (4, 3, 400, 4),
+    "default": (8, 4, 2_500, 4),
+    "paper": (12, 6, 8_000, 8),
 }
 
 
@@ -1350,24 +1349,17 @@ def throughput_sharded_ingest(
 ) -> ExperimentResult:
     """Sharded parallel ingest vs the single-file store's write path.
 
-    Two workloads:
-
-    * ``ingest`` — the same pre-labeled runs (several specifications, so
-      the stable spec-name hash spreads them across shards) stored through
-      the single-file store's per-run ``add_labeled_run`` loop (one
-      transaction per run, one writer for everything) vs the sharded
-      store's :meth:`~repro.storage.sharded.ShardedProvenanceStore.add_labeled_runs`
-      (one batched transaction per shard, shards committing concurrently
-      on the persistent worker pool).  Labeling happens outside the timed
-      region — this measures the **write path**.  Before any number is
-      reported, every specification's cross-run sweep is verified
-      bit-identical between the two stores.
-    * ``sweep-pool-reuse`` — one compiled cross-run plan re-executed many
-      times: a fresh ephemeral worker pool per execution (the pre-PR 5
-      executor) vs the store-owned persistent pool.  Thread pools are
-      cheap to start, so the structural win is modest there; the process
-      row (numpy hosts only) additionally skips re-pickling the dense
-      spec matrices and is where persistence pays hardest.
+    The ``ingest`` workload stores the same pre-labeled runs (several
+    specifications, so the stable spec-name hash spreads them across
+    shards) through the single-file store's per-run ``add_labeled_run``
+    loop (one transaction per run, one writer for everything) vs the
+    sharded store's
+    :meth:`~repro.storage.sharded.ShardedProvenanceStore.add_labeled_runs`
+    (one batched transaction per shard, shards committing concurrently on
+    one thread each).  Labeling happens outside the timed region — this
+    measures the **write path**.  Before any number is reported, every
+    specification's cross-run sweep is verified bit-identical between the
+    two stores.
 
     Wall-clock parallel wins need real cores: single-core hosts
     legitimately record thin ``ingest`` ratios (the batched-transaction
@@ -1382,8 +1374,8 @@ def throughput_sharded_ingest(
     from repro.storage.store import ProvenanceStore
 
     preset = get_scale(scale)
-    spec_count, runs_per_spec, run_size, shards, repeats = (
-        _SHARDED_INGEST_SETTINGS.get(preset.name, _SHARDED_INGEST_SETTINGS["smoke"])
+    spec_count, runs_per_spec, run_size, shards = _SHARDED_INGEST_SETTINGS.get(
+        preset.name, _SHARDED_INGEST_SETTINGS["smoke"]
     )
     specs = [
         generate_specification(
@@ -1483,53 +1475,6 @@ def throughput_sharded_ingest(
         }
     ]
 
-    # -- pool reuse: one compiled plan re-executed many times -------------
-    from repro.api.queries import CrossRunQuery as _CrossRunQuery
-
-    from repro.engine.kernels import HAS_NUMPY
-
-    spec = specs[0]
-    anchor = anchors[spec.name]
-    pool_modes = ["thread"]
-    if HAS_NUMPY:
-        pool_modes.append("process")
-    for mode in pool_modes:
-        executions = repeats if mode == "thread" else max(3, repeats // 3)
-        ephemeral = CrossRunExecutor(
-            sharded_store, workers=2, mode=mode, pool=False
-        )
-        started = time.perf_counter()
-        for _ in range(executions):
-            ephemeral_answer = ephemeral.sweep(spec.name, anchor)
-        ephemeral_seconds = time.perf_counter() - started
-        persistent = CrossRunExecutor(sharded_store, workers=2, mode=mode)
-        persistent.sweep(spec.name, anchor)  # warm the pool + payload cache
-        started = time.perf_counter()
-        for _ in range(executions):
-            persistent_answer = persistent.sweep(spec.name, anchor)
-        persistent_seconds = time.perf_counter() - started
-        if persistent_answer != ephemeral_answer:
-            raise ReproError(
-                f"persistent-pool {mode} sweep disagrees with the "
-                "ephemeral-pool executor"
-            )
-        rows.append(
-            {
-                "workload": "sweep-pool-reuse",
-                "mode": mode,
-                "shards": shards,
-                "pool": "persistent",
-                "runs": runs_per_spec,
-                "vertices_per_run": run_size,
-                "repeats": executions,
-                "workers": 2,
-                "baseline_ms": round(ephemeral_seconds * 1e3, 3),
-                "optimized_ms": round(persistent_seconds * 1e3, 3),
-                "speedup": round(ephemeral_seconds / persistent_seconds, 2)
-                if persistent_seconds > 0
-                else None,
-            }
-        )
     single_store.close()
     sharded_store.close()
     return ExperimentResult(
@@ -1545,8 +1490,6 @@ def throughput_sharded_ingest(
             "specs",
             "vertices_per_run",
             "label_rows",
-            "repeats",
-            "workers",
             "baseline_ms",
             "optimized_ms",
             "rows_per_s",
@@ -1555,14 +1498,10 @@ def throughput_sharded_ingest(
         notes=[
             "ingest row: per-run add_labeled_run transactions on one SQLite "
             "file vs one batched transaction per shard, shards committing "
-            "concurrently over the store's persistent worker pool; labeling "
-            "is excluded from both timed regions",
+            "concurrently on one thread each; labeling is excluded from "
+            "both timed regions",
             "every specification's cross-run sweep is verified bit-identical "
             "between the two layouts before any number is reported",
-            "sweep-pool-reuse rows: one compiled cross-run sweep re-executed "
-            "per measurement — fresh worker pool per execution vs the "
-            "store-owned persistent pool (the process row additionally "
-            "reuses the pickled dense spec matrices)",
             "parallel ingest needs real cores; single-core hosts keep only "
             "the batched-transaction win and record honestly thin ratios",
             f"scale={preset.name}; cpu_count={os.cpu_count()}",
@@ -1749,7 +1688,7 @@ def throughput_shard_rebalance(
                 store.delete_run(churn_ids[index])
                 churn_ids[index] = store.add_labeled_runs([item])[0]
         verify("pre-rebalance")
-        executor.sweep(hot_name, anchors[hot_name])  # warm pools + kernels
+        executor.sweep(hot_name, anchors[hot_name])  # warm the kernels
         pre_seconds = timed_sweeps()
 
         # a crash-injected migration attempt: killed between copy and flip,
@@ -2150,11 +2089,11 @@ def throughput_server(
                 writer.ingest(writer_payload, flush=False)
                 return writer.flush()
 
-        with _ClientPool(max_workers=reader_clients + 1) as pool:
+        with _ClientPool(max_workers=reader_clients + 1) as clients:
             started = time.perf_counter()
-            writer_future = pool.submit(writer_worker)
+            writer_future = clients.submit(writer_worker)
             reader_futures = [
-                pool.submit(reader_worker, index) for index in range(reader_clients)
+                clients.submit(reader_worker, index) for index in range(reader_clients)
             ]
             reader_results = [future.result() for future in reader_futures]
             ingested_ids = writer_future.result()

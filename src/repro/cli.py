@@ -20,8 +20,8 @@ The CLI exposes the typical life cycle of the system:
   are read by primary key);
 * ``serve`` — put a provenance database behind a TCP socket (the binary
   wire protocol of :mod:`repro.server`);
-* ``health`` — probe a running server for shard reachability and pool
-  liveness (exit 0 on ``ok``, 1 on ``degraded``);
+* ``health`` — probe a running server for shard reachability and
+  degradation counters (exit 0 on ``ok``, 1 on ``degraded``);
 * ``experiments`` — regenerate the paper's tables and figures;
 * ``info`` — show a specification's characteristics (the Table 1 columns).
 
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     health_parser = subparsers.add_parser(
         "health",
         help="probe a running provenance server (shard reachability, "
-        "pool liveness)",
+        "degradation counters)",
     )
     health_parser.add_argument(
         "--database",

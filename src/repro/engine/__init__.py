@@ -24,7 +24,6 @@ used by the traversal schemes lives in :mod:`repro.graphs.csr`.
 
 from repro.engine.kernels import SpecKernel, build_kernel, compile_spec_kernel
 from repro.engine.online import OnlineKernel, OnlineKernelStats
-from repro.engine.pool import PersistentWorkerPool, WorkerPoolOwner
 from repro.engine.parallel import (
     CrossRunExecutor,
     MAX_AUTO_WORKERS,
@@ -44,8 +43,6 @@ __all__ = [
     "OnlineKernel",
     "OnlineKernelStats",
     "CrossRunExecutor",
-    "PersistentWorkerPool",
-    "WorkerPoolOwner",
     "resolve_workers",
     "PARALLEL_MIN_RUNS",
     "PREFETCH_CHUNK_RUNS",

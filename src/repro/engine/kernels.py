@@ -290,11 +290,9 @@ _MISSING = object()
 def dense_sweep_answers(matrix, q1, q2, q3, orig, anchor, downstream):
     """Anchored Algorithm-3 sweep over raw arrays + a dense spec matrix.
 
-    The one implementation of the dense sweep formula: called by
-    :meth:`SpecKernel.sweep` and shipped (with picklable arguments only)
-    to the parallel executor's process workers, so the two paths cannot
-    drift.  The anchor's own row is forced ``False`` per the
-    dependency-sweep contract.
+    The one implementation of the dense sweep formula, called by
+    :meth:`SpecKernel.sweep`.  The anchor's own row is forced ``False`` per
+    the dependency-sweep contract.
     """
     q1a, q2a, q3a = int(q1[anchor]), int(q2[anchor]), int(q3[anchor])
     if downstream:
@@ -352,11 +350,6 @@ class SpecKernel:
         else:
             self.matrix, self.position_of = None, None
         self._label_cache: dict = {}
-
-    @property
-    def dense(self) -> bool:
-        """Whether fall-throughs are answered from the dense spec matrix."""
-        return self.matrix is not None
 
     @property
     def stale(self) -> bool:

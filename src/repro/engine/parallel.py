@@ -1,6 +1,6 @@
-"""Parallel cross-run execution: fan per-run label streams across workers.
+"""Parallel cross-run execution: fan per-run label streams across threads.
 
-The cross-run query path (PR 3) compiles one shared
+The cross-run query path compiles one shared
 :class:`~repro.engine.kernels.SpecKernel` per ``(specification, scheme)``
 and streams every run's raw label columns through it — but strictly one run
 at a time, over the store's single SQLite connection.  Profiling shows the
@@ -8,24 +8,16 @@ per-run payload is dominated by the **fetch** (the SQL scan plus the column
 transpose), not the kernel math, so parallelizing only the evaluation would
 serialize on the one connection and win nothing.  This module therefore
 partitions a specification's runs into chunks and hands each chunk to a
-worker that opens its **own read-only connection** to the store file,
-fetches the chunk with a single ordered ``run_id IN`` scan
+worker thread that opens its **own read-only connection** to the store
+file, fetches the chunk with a single ordered ``run_id IN`` scan
 (:func:`~repro.storage.store.load_label_arrays`), and evaluates its runs
 through the shared kernel:
 
-* the default pool is the **store-owned persistent worker pool**
-  (:mod:`repro.engine.pool`): lazily started on the first parallel
-  execution, reused by every later one (and by the sharded store's ingest
-  service), closed with the store — a monitoring loop re-executing one
-  compiled plan no longer pays pool startup per execution.  Thread workers
-  by default — ``sqlite3``'s step loop and numpy's ufuncs release the GIL,
-  so fetch and kernel work overlap;
-* ``REPRO_PARALLEL=process`` switches to a process pool whose tasks are
-  top-level functions fed picklable payloads.  The dense spec matrix is
-  pickled **once per kernel per pool** (the blob is cached on the pool and
-  reshipped as bytes, a memcpy), not re-serialized per execution; runs
-  whose spec kernel is not dense — live traversal schemes, numpy-less
-  installs — cannot ship and are evaluated on the submitting side;
+* the workers are a ``ThreadPoolExecutor`` of at most ``workers`` threads,
+  opened for one sweep and shut down before it returns.  ``sqlite3``'s
+  step loop and numpy's ufuncs release the GIL, so fetch and kernel work
+  overlap.  Starting four threads costs ~0.2 ms on a 2-CPU host, against
+  the 30-70 ms such a sweep takes, so no pool outlives its call;
 * chunking is **shard-aware**: when the store routes runs across shard
   files (:class:`~repro.storage.sharded.ShardedProvenanceStore` exposes
   ``shard_path_of``), runs are grouped by their physical file first, so
@@ -33,8 +25,7 @@ through the shared kernel:
   in;
 * workers return **packed** results — affected sweep rows as
   module-dictionary + two int64 columns — decoded once at the API boundary
-  (:meth:`CrossRunExecutor._split_outcomes`), which shrinks process-mode
-  pickling and the GIL-bound per-row tuple building in thread mode.
+  (:meth:`CrossRunExecutor._split_outcomes`).
 
 Only the anchored dependency **sweep** (``CrossRunQuery``) fans out.  The
 generalized **pair batch** (the same pairs asked of every run, a runs x
@@ -49,29 +40,21 @@ auto-selected when the run count is below
 :data:`PARALLEL_MIN_RUNS`, when only one CPU is available, when
 ``workers=1`` is requested, or when the store is in-memory (a ``:memory:``
 database is reachable only through its one connection).  Parallel sweep
-answers are bit-identical to sequential ones: every mode evaluates the same
-compiled-kernel formula over the same streamed arrays, and every mode
-round-trips through the same packed encoding.
+answers are bit-identical to sequential ones: both paths evaluate the same
+compiled-kernel formula over the same streamed arrays and round-trip
+through the same packed encoding.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import sqlite3
 from array import array
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    TimeoutError as FuturesTimeout,
-)
-from typing import Any, Callable, Optional, Sequence, Union
+from concurrent.futures import ThreadPoolExecutor, TimeoutError as FuturesTimeout
+from typing import Any, Optional, Sequence
 from urllib.parse import quote
 
 from repro import faults
-from repro.engine.kernels import dense_sweep_answers
-from repro.engine.pool import PersistentWorkerPool
 from repro.exceptions import QueryPlanError, WorkerCrashError
 from repro.faults import fault_point
 
@@ -104,15 +87,14 @@ MAX_AUTO_WORKERS = 8
 
 #: chunk failures the executor transparently recovers from: a retry on the
 #: pool, then an inline sequential evaluation (both recorded through the
-#: store's ``note_degraded``).  Covers a crashed worker process
-#: (BrokenExecutor / WorkerCrashError), a dropped or refused connection
-#: (OSError — InjectedConnectionError included), a transient SQL failure
-#: on the task-private connection, and a hung worker when
-#: ``REPRO_WORKER_TIMEOUT`` bounds the wait.  Anything else — a kernel
-#: bug, a typed ReproError — propagates untouched.
+#: store's ``note_degraded``).  Covers a crashed worker (WorkerCrashError,
+#: the ``pool.task`` fault), a dropped or refused connection (OSError —
+#: InjectedConnectionError included), a transient SQL failure on the
+#: task-private connection, and a hung worker when ``REPRO_WORKER_TIMEOUT``
+#: bounds the wait.  Anything else — a kernel bug, a typed ReproError —
+#: propagates untouched.
 _RETRYABLE = (
     WorkerCrashError,
-    BrokenExecutor,
     OSError,
     sqlite3.OperationalError,
     FuturesTimeout,
@@ -122,10 +104,10 @@ _RETRYABLE = (
 def _worker_timeout() -> Optional[float]:
     """Seconds to wait on one chunk future (``REPRO_WORKER_TIMEOUT``).
 
-    Unset (the default) waits forever — the pre-fault-tolerance behavior.
-    A bounded wait turns a hung worker into a :data:`_RETRYABLE` timeout,
-    so the chunk is retried and, failing that, evaluated inline; the stuck
-    future is abandoned to finish (or not) on its own.
+    Unset (the default) waits forever.  A bounded wait turns a hung worker
+    into a :data:`_RETRYABLE` timeout, so the chunk is retried and, failing
+    that, evaluated inline; the stuck thread is left to finish on its own
+    (the sweep's pool is shut down without waiting for it).
     """
     raw = os.environ.get("REPRO_WORKER_TIMEOUT", "").strip()
     if not raw:
@@ -181,8 +163,6 @@ def _readonly_connection(path):
     e.g. a WAL-mode shard whose ``-shm`` file an old SQLite refuses to map
     read-only; the workers only ever SELECT, so the fallback stays safe.
     """
-    import sqlite3
-
     try:
         return sqlite3.connect(f"file:{quote(str(path))}?mode=ro", uri=True)
     except sqlite3.OperationalError:  # pragma: no cover - sqlite-build dependent
@@ -196,9 +176,9 @@ def _pack_affected(executions, positions) -> tuple:
     """Pack affected sweep rows: module dictionary + two int64 columns.
 
     ``len(affected)`` Python tuples become one small tuple of distinct
-    module names plus two byte blobs — far cheaper to pickle out of a
-    process worker and to build inside a GIL-holding thread worker than
-    the decoded ``(module, instance)`` list.
+    module names plus two byte blobs, built inside the worker thread; the
+    ``(module, instance)`` list is rebuilt once, by
+    :func:`_decode_affected`.
     """
     modules: list[str] = []
     module_index: dict[str, int] = {}
@@ -228,7 +208,7 @@ def _decode_affected(packed: tuple) -> list[tuple[str, int]]:
 
 
 # ----------------------------------------------------------------------
-# worker tasks (top-level so the process pool can pickle them)
+# worker tasks: each returns [(run_id, packed-or-None), ...] for its chunk
 # ----------------------------------------------------------------------
 def _fetch_chunk_arrays(db_path, run_ids):
     """Fetch one chunk's label arrays over a task-private connection."""
@@ -243,78 +223,18 @@ def _fetch_chunk_arrays(db_path, run_ids):
         connection.close()
 
 
-def _thread_chunk_task(db_path, run_ids, kernels, evaluate):
-    """One thread task: private-connection fetch, then per-run evaluation."""
+def _sweep_chunk_task(db_path, run_ids, kernels, evaluate):
+    """One kernel task: private-connection fetch, then per-run evaluation."""
     fault_point("pool.task")
     arrays_of = _fetch_chunk_arrays(db_path, run_ids)
     return [evaluate(run_id, kernels[run_id], arrays_of[run_id]) for run_id in run_ids]
 
 
-def _origin_rows(position_of, origins):
-    return _np.fromiter(
-        map(position_of.__getitem__, origins), dtype=_np.int64, count=len(origins)
-    )
-
-
-def _process_chunk_task(payload):
-    """One process task: private-connection fetch + dense evaluation.
-
-    The payload carries only picklable state: the store (or shard) file
-    path, the chunk's run ids, each run's dense spec payload as a
-    **pickled blob** (``pickle.dumps((matrix, position_of))`` — serialized
-    once per kernel per pool and reshipped as bytes), and the sweep's
-    ``(anchor, downstream)``.  Results come back packed (see
-    :func:`_pack_affected`); the parent decodes them once at the API
-    boundary.
-    """
-    db_path, run_ids, blob_of, (anchor, downstream) = payload
-    fault_point("pool.task")
-    arrays_of = _fetch_chunk_arrays(db_path, run_ids)
-    # runs of one spec share one kernel, hence one blob object: unpickle
-    # each distinct blob once per task
-    dense_cache: dict[int, tuple] = {}
-
-    def dense_of(run_id):
-        blob = blob_of[run_id]
-        key = id(blob)
-        if key not in dense_cache:
-            dense_cache[key] = pickle.loads(blob)
-        return dense_cache[key]
-
-    results = []
-    for run_id in run_ids:
-        arrays = arrays_of[run_id]
-        matrix, position_of = dense_of(run_id)
-        try:
-            anchor_row = arrays.executions.index(anchor)
-        except ValueError:
-            results.append((run_id, None))
-            continue
-        answers = dense_sweep_answers(
-            matrix,
-            arrays.q1,
-            arrays.q2,
-            arrays.q3,
-            _origin_rows(position_of, arrays.origins),
-            anchor_row,
-            downstream,
-        )
-        results.append(
-            (
-                run_id,
-                _pack_affected(arrays.executions, _np.flatnonzero(answers).tolist()),
-            )
-        )
-    return results
-
-
 def _pushdown_chunk_task(db_path, run_ids, anchor, modules, downstream):
     """One pushdown task: indexed range scans over a task-private connection.
 
-    Fully picklable (a path, ids, the anchor and a module-name list — no
-    kernels, no numpy), so the same task serves thread pools, process pools
-    and numpy-less installs alike.  Only the matching rows ever leave
-    SQLite; they come back packed like every other worker result.
+    Only the matching rows ever leave SQLite; they come back packed like
+    every other worker result.
     """
     from repro.storage.pushdown import pushdown_sweep
 
@@ -347,45 +267,11 @@ class CrossRunExecutor:
         Worker count of sweeps; ``None`` auto-sizes (see
         :func:`resolve_workers`) and falls back to the sequential path for
         small sweeps.  Batches always run on the calling thread.
-    mode:
-        ``"thread"`` (default) or ``"process"``; ``None`` reads the
-        ``REPRO_PARALLEL`` environment variable.  Process mode requires
-        numpy and dense spec kernels; ineligible runs are evaluated on the
-        submitting side.
-    pool:
-        Where parallel tasks run.  ``None`` (default) asks the store for
-        its persistent :class:`~repro.engine.pool.PersistentWorkerPool`
-        (``store.worker_pool(mode)``), so repeated executions share one
-        lazily started pool that closes with the store.  ``False`` forces
-        a fresh ephemeral pool per execution (the pre-PR 5 behavior, kept
-        for benchmarking the difference).  An explicit pool object is used
-        as given and never shut down by the executor.
     """
 
-    def __init__(
-        self,
-        store: Any,
-        *,
-        workers: Optional[int] = None,
-        mode: Optional[str] = None,
-        pool: Union[PersistentWorkerPool, None, bool] = None,
-    ) -> None:
+    def __init__(self, store: Any, *, workers: Optional[int] = None) -> None:
         self.store = store
         self.workers = workers
-        if mode is None:
-            mode = os.environ.get("REPRO_PARALLEL", "thread") or "thread"
-        if mode not in ("thread", "process"):
-            raise QueryPlanError(
-                f"REPRO_PARALLEL mode must be 'thread' or 'process', got {mode!r}"
-            )
-        self.mode = mode
-        if pool is True:  # pragma: no cover - guard against bool misuse
-            pool = None
-        self._pool = pool
-        # dense payload blobs when no persistent pool hosts the cache; the
-        # kernel object is kept alongside so its id can never be recycled
-        # while the blob is alive
-        self._blob_cache: dict[int, tuple[Any, bytes]] = {}
 
     # ------------------------------------------------------------------
     # shared plumbing
@@ -406,102 +292,57 @@ class CrossRunExecutor:
             return 1
         return workers
 
-    def _resolve_pool(self, kind: Optional[str] = None) -> Optional[PersistentWorkerPool]:
-        """The persistent pool parallel tasks run on (``None`` = ephemeral).
-
-        *kind* is the pool flavor the submitted tasks actually need —
-        numpy-less installs fall back to closure-carrying thread tasks even
-        under ``REPRO_PARALLEL=process``, and closures must never be
-        submitted to a process pool.
-        """
-        kind = kind or self.mode
-        if self._pool is False:
-            return None
-        if isinstance(self._pool, PersistentWorkerPool):
-            if kind == "thread" and self._pool.mode == "process":
-                # closure-carrying thread tasks cannot ride a process pool
-                # (e.g. REPRO_PARALLEL=process on a numpy-less install with
-                # an explicit process pool): fall back to an ephemeral pool
-                return None
-            return self._pool
-        pool_of = getattr(self.store, "worker_pool", None)
-        if pool_of is None:
-            return None
-        pool = pool_of(kind)
-        if self.workers is not None and int(self.workers) > pool.workers:
-            # an explicit request wider than the shared pool must not be
-            # silently throttled to the pool's width; an ephemeral pool
-            # sized to the request (the pre-persistent behavior) serves it
-            return None
-        return pool
-
-    @staticmethod
-    def _dense_blob(kernel, cache: Optional[dict]) -> bytes:
-        """The kernel's dense payload, pickled once per *cache* lifetime.
-
-        *cache* is the persistent pool's ``payload_cache`` when one serves
-        this executor (every plan over the same store then shares the blob
-        for the pool's lifetime) or the executor's own cache otherwise.
-        ``None`` disables caching entirely — the ``pool=False`` baseline
-        re-pickles per execution, faithfully reproducing the pre-pool
-        behavior the benchmarks compare against.
-        """
-        if cache is None:
-            return pickle.dumps((kernel.matrix, kernel.position_of))
-        key = id(kernel)
-        entry = cache.get(key)
-        if entry is None:
-            entry = (kernel, pickle.dumps((kernel.matrix, kernel.position_of)))
-            cache[key] = entry
-        return entry[1]
-
     def _note_degraded(self, kind: str) -> None:
         """Record one graceful degradation on the store (when it counts them)."""
         note = getattr(self.store, "note_degraded", None)
         if note is not None:
             note(kind)
 
-    def _submit_chunks(self, submit, chunk_tasks):
-        """Submit every ``(fn, args)`` chunk task, tolerating submit failures.
+    def _fan_out(self, chunk_tasks, run_ids, workers: int):
+        """Run ``(fn, args)`` chunk tasks on a pool opened for this call.
 
-        A failed submission (a broken pool the persistent pool could not
-        revive, an injected ``pool.submit`` fault) counts as the chunk's
-        first attempt: the exception is carried to :meth:`_settle`, which
-        retries once and then evaluates inline.  Non-retryable submission
-        errors propagate immediately.
-        """
-        submitted = []
-        for fn, args in chunk_tasks:
-            try:
-                submitted.append((fn, args, submit(fn, *args)))
-            except _RETRYABLE as exc:
-                submitted.append((fn, args, exc))
-        return submitted
+        Returns ``(per_run, skipped)`` like :meth:`sweep`, decoded once from
+        the tasks' packed ``(run_id, payload)`` results.
 
-    def _settle(self, submit, fn, args, outcome):
-        """One chunk's results, retrying once and then evaluating inline.
-
-        *outcome* is the submitted future, or the exception submission
-        raised.  On a :data:`_RETRYABLE` failure the chunk is resubmitted
-        once (``worker_retry``); if that also fails it is evaluated in the
+        A chunk failing with a :data:`_RETRYABLE` error is resubmitted once
+        (``worker_retry``); if that also fails it is evaluated in the
         calling thread (``worker_sequential``) with fault injection
         suppressed, so an injected fault can never turn into a wrong or
         missing answer — only a slower path.  Non-retryable errors, and
         retryable ones the sequential evaluation reproduces, propagate.
+
+        The pool is shut down before this returns, waiting for its threads
+        so none outlives the call — unless a chunk timed out
+        (``REPRO_WORKER_TIMEOUT``): then the shutdown does not wait, since
+        waiting for a hung worker would turn the timeout into a hang.
         """
         timeout = _worker_timeout()
-        if not isinstance(outcome, BaseException):
-            try:
-                return outcome.result(timeout)
-            except _RETRYABLE:
-                pass
-        self._note_degraded("worker_retry")
+        timed_out = False
+        outcomes: dict[int, Any] = {}
+        threads = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-sweep"
+        )
         try:
-            return submit(fn, *args).result(timeout)
-        except _RETRYABLE:
-            self._note_degraded("worker_sequential")
-            with faults.suppressed():
-                return fn(*args)
+            submitted = [
+                (fn, args, threads.submit(fn, *args)) for fn, args in chunk_tasks
+            ]
+            for fn, args, future in submitted:
+                try:
+                    results = future.result(timeout)
+                except _RETRYABLE as first:
+                    timed_out |= isinstance(first, FuturesTimeout)
+                    self._note_degraded("worker_retry")
+                    try:
+                        results = threads.submit(fn, *args).result(timeout)
+                    except _RETRYABLE as second:
+                        timed_out |= isinstance(second, FuturesTimeout)
+                        self._note_degraded("worker_sequential")
+                        with faults.suppressed():
+                            results = fn(*args)
+                outcomes.update(results)
+        finally:
+            threads.shutdown(wait=not timed_out, cancel_futures=timed_out)
+        return self._split_outcomes(run_ids, outcomes)
 
     def _path_groups(self, run_ids: Sequence[int]) -> list[tuple[str, list[int]]]:
         """Group runs by the physical database file their rows live in.
@@ -518,7 +359,7 @@ class CrossRunExecutor:
             groups.setdefault(str(shard_path_of(run_id)), []).append(run_id)
         return list(groups.items())
 
-    def _fan_chunks(self, run_ids, workers: int, *, cap_tasks: bool = False):
+    def _fan_chunks(self, run_ids, workers: int):
         """``(db_path, chunk)`` pairs with hot-spec replica fan-out.
 
         When the store attaches read replicas to a shard
@@ -538,128 +379,21 @@ class CrossRunExecutor:
                 rotation = rotation_of(db_path)
                 if rotation:
                     paths = list(rotation)
-            for index, chunk in enumerate(
-                self._chunks(path_runs, workers, cap_tasks=cap_tasks)
-            ):
+            for index, chunk in enumerate(self._chunks(path_runs, workers)):
                 yield paths[index % len(paths)], chunk
 
     @staticmethod
-    def _chunks(run_ids: Sequence[int], workers: int = 1, *, cap_tasks: bool = False):
+    def _chunks(run_ids: Sequence[int], workers: int = 1):
         """Chunk runs so the whole pool stays busy.
 
         The chunk size is :data:`PREFETCH_CHUNK_RUNS` capped at
         ``ceil(runs / workers)`` — without the cap, a small sweep would
         submit fewer tasks than workers and leave part of the pool idle.
-
-        With *cap_tasks* the chunk size is additionally **floored** at
-        ``ceil(runs / workers)``, so at most *workers* chunks are emitted.
-        Ephemeral pools enforce the worker cap through ``max_workers``;
-        a shared persistent pool is wider than an explicit ``workers=``
-        request, so there the cap must come from the task count itself.
         """
         count = len(run_ids)
-        per_worker = -(-count // max(1, workers))
-        chunk_size = max(1, min(PREFETCH_CHUNK_RUNS, per_worker))
-        if cap_tasks:
-            chunk_size = max(chunk_size, per_worker)
+        chunk_size = max(1, min(PREFETCH_CHUNK_RUNS, -(-count // max(1, workers))))
         for start in range(0, count, chunk_size):
             yield list(run_ids[start : start + chunk_size])
-
-    def _execute(
-        self,
-        run_ids: list[int],
-        workers: int,
-        evaluate: Callable,
-        op: tuple,
-    ) -> dict[int, Any]:
-        """Fan chunk tasks over the pool; returns per-run packed outcomes.
-
-        *evaluate* is the shared-kernel per-run sweep (used by thread
-        workers and for runs process mode cannot ship); *op* is the sweep's
-        picklable ``(anchor, downstream)`` for process tasks.  Tasks are
-        submitted to the store's persistent pool when one is available,
-        else to a fresh ephemeral pool that is torn down with the call.
-        """
-        store = self.store
-        kernels = {run_id: store.spec_kernel(run_id) for run_id in run_ids}
-        outcomes: dict[int, Any] = {}
-        use_processes = self.mode == "process" and _np is not None
-        pool = self._resolve_pool("process" if use_processes else "thread")
-        # a shared pool is wider than an explicit workers= request; cap the
-        # task count so the requested concurrency limit still holds there
-        cap_tasks = pool is not None and pool.workers > workers
-        if pool is not None:
-            blob_cache: Optional[dict] = pool.payload_cache
-        elif self._pool is False:
-            blob_cache = None  # faithful pre-pool baseline: no blob reuse
-        else:
-            blob_cache = self._blob_cache
-        if use_processes:
-            shippable = []
-            local = []
-            for run_id in run_ids:
-                if getattr(kernels[run_id], "dense", False):
-                    shippable.append(run_id)
-                else:
-                    local.append(run_id)
-            chunk_tasks = [
-                (
-                    _process_chunk_task,
-                    (
-                        (
-                            db_path,
-                            chunk,
-                            {
-                                run_id: self._dense_blob(kernels[run_id], blob_cache)
-                                for run_id in chunk
-                            },
-                            op,
-                        ),
-                    ),
-                )
-                for db_path, chunk in self._fan_chunks(
-                    shippable, workers, cap_tasks=cap_tasks
-                )
-            ]
-
-            def drain(submit, submitted):
-                # non-dense kernels hold live spec indexes that cannot ship
-                # across processes; evaluate them here while the pool works
-                for db_path, path_runs in self._path_groups(local):
-                    for chunk in self._chunks(path_runs):
-                        arrays_of = _fetch_chunk_arrays(db_path, chunk)
-                        for run_id in chunk:
-                            _, answer = evaluate(
-                                run_id, kernels[run_id], arrays_of[run_id]
-                            )
-                            outcomes[run_id] = answer
-                for record in submitted:
-                    outcomes.update(dict(self._settle(submit, *record)))
-
-            if pool is not None:
-                drain(pool.submit, self._submit_chunks(pool.submit, chunk_tasks))
-            else:
-                with ProcessPoolExecutor(max_workers=workers) as ephemeral:
-                    drain(
-                        ephemeral.submit,
-                        self._submit_chunks(ephemeral.submit, chunk_tasks),
-                    )
-            return outcomes
-
-        chunk_tasks = [
-            (_thread_chunk_task, (db_path, chunk, kernels, evaluate))
-            for db_path, chunk in self._fan_chunks(
-                run_ids, workers, cap_tasks=cap_tasks
-            )
-        ]
-        if pool is not None:
-            for record in self._submit_chunks(pool.submit, chunk_tasks):
-                outcomes.update(dict(self._settle(pool.submit, *record)))
-            return outcomes
-        with ThreadPoolExecutor(max_workers=workers) as ephemeral:
-            for record in self._submit_chunks(ephemeral.submit, chunk_tasks):
-                outcomes.update(dict(self._settle(ephemeral.submit, *record)))
-        return outcomes
 
     # ------------------------------------------------------------------
     # the anchored dependency sweep (CrossRunQuery)
@@ -700,8 +434,12 @@ class CrossRunExecutor:
 
         if workers <= 1:
             return self._run_sequential(run_ids, evaluate)
-        outcomes = self._execute(run_ids, workers, evaluate, (anchor, downstream))
-        return self._split_outcomes(run_ids, outcomes)
+        kernels = {run_id: self.store.spec_kernel(run_id) for run_id in run_ids}
+        chunk_tasks = [
+            (_sweep_chunk_task, (db_path, chunk, kernels, evaluate))
+            for db_path, chunk in self._fan_chunks(run_ids, workers)
+        ]
+        return self._fan_out(chunk_tasks, run_ids, workers)
 
     def sweep_pushdown(
         self, specification: str, anchor: tuple, direction: str = "downstream"
@@ -755,27 +493,11 @@ class CrossRunExecutor:
                 else:
                     per_run[run_id] = answer
             return per_run, skipped
-        pool = self._resolve_pool(self.mode)
-        cap_tasks = pool is not None and pool.workers > workers
         chunk_tasks = [
             (_pushdown_chunk_task, (db_path, chunk, anchor, modules, downstream))
-            for db_path, chunk in self._fan_chunks(
-                run_ids, workers, cap_tasks=cap_tasks
-            )
+            for db_path, chunk in self._fan_chunks(run_ids, workers)
         ]
-
-        outcomes: dict[int, Any] = {}
-        if pool is not None:
-            for record in self._submit_chunks(pool.submit, chunk_tasks):
-                outcomes.update(dict(self._settle(pool.submit, *record)))
-        else:
-            executor_cls = (
-                ProcessPoolExecutor if self.mode == "process" else ThreadPoolExecutor
-            )
-            with executor_cls(max_workers=workers) as ephemeral:
-                for record in self._submit_chunks(ephemeral.submit, chunk_tasks):
-                    outcomes.update(dict(self._settle(ephemeral.submit, *record)))
-        return self._split_outcomes(run_ids, outcomes)
+        return self._fan_out(chunk_tasks, run_ids, workers)
 
     # ------------------------------------------------------------------
     # the generalized pair batch (CrossRunBatchQuery / CrossRunPointQuery)

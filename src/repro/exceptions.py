@@ -121,8 +121,8 @@ class CircuitOpenError(ProtocolError):
 class WorkerCrashError(ReproError):
     """A parallel worker died (or was fault-injected dead) mid-task.
 
-    The cross-run executor treats it like a broken pool: the chunk is
-    retried once, then evaluated sequentially on the submitting side.
+    The cross-run executor retries the chunk once, then evaluates it
+    sequentially on the submitting side.
     """
 
 

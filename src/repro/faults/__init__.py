@@ -16,7 +16,6 @@ point                      where it fires
 ``store.load_label_arrays``  the streaming label fetch workers and stores share,
                            and the primary-key label lookup
                            (:func:`repro.storage.store.load_execution_labels`)
-``pool.submit``            :meth:`repro.engine.pool.PersistentWorkerPool.submit`
 ``pool.task``              inside every cross-run chunk task (worker side)
 ``pushdown.sql``           :func:`repro.storage.pushdown.pushdown_sweep`
 ``routing.migrate``        :func:`repro.storage.routing.migrate_spec`, between
@@ -41,7 +40,7 @@ each with a fault *kind* choosing the raised exception:
 
 Plans activate two ways: as a context manager (``with plan.active(): ...``)
 for tests, or through the ``REPRO_FAULTS`` environment variable for whole
-processes (the chaos CI leg; process-pool workers inherit it).  The spec
+processes (the chaos CI leg).  The spec
 grammar::
 
     REPRO_FAULTS = clause (";" clause)*
@@ -98,7 +97,6 @@ FAULT_POINTS = frozenset(
     {
         "store.connect",
         "store.load_label_arrays",
-        "pool.submit",
         "pool.task",
         "pushdown.sql",
         "routing.migrate",

@@ -397,7 +397,7 @@ class RemoteStore:
         return json.loads(self._request(wire.OP_CACHE_STATS).str())
 
     def health(self) -> dict:
-        """The server's HEALTH report: shard reachability and pools (v3)."""
+        """The server's HEALTH report: shard reachability and counters (v3)."""
         return json.loads(self._request(wire.OP_HEALTH).str())
 
     # ------------------------------------------------------------------

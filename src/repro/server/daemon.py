@@ -12,10 +12,10 @@ with the length-prefixed binary protocol of
   inline on the one thread that runs the event loop.  Concurrency across
   connections comes from asyncio interleaving at the request boundary,
   not from racing the caches; the parallel machinery *inside* an
-  operation (per-shard ingest commits, cross-run worker pools) still
-  fans out through the store's own persistent pools.  A long operation
-  (an ingest flush, a cross-run sweep) holds up every other connection
-  until it returns.
+  operation (per-shard ingest commits, cross-run sweep chunks) still
+  fans out, on threads that live only as long as that operation.  A long
+  operation (an ingest flush, a cross-run sweep) holds up every other
+  connection until it returns.
 * **Per-connection session state.**  Each connection owns a
   :class:`~repro.api.ProvenanceSession` that lives as long as the
   connection, so adaptive point-query promotion and the store's compiled
@@ -35,8 +35,7 @@ with the length-prefixed binary protocol of
   (:class:`~repro.exceptions.ReproError`) are reported recoverably and
   the connection lives on.  :meth:`ProvenanceServer.stop` stops
   accepting, closes every connection, lets each connection commit its
-  buffered ingest, and closes a server-owned store — draining its worker
-  pools — before returning.
+  buffered ingest, and closes a server-owned store before returning.
 
 :class:`ServerThread` wraps the daemon in a background thread with its
 own event loop for tests, examples and benches; the CLI's ``serve``
@@ -243,8 +242,8 @@ class ProvenanceServer:
         and is awaited to its end too, so no buffer is left behind.  Only
         then does this wait for the listening server to close — since
         Python 3.12.1 that waits for every connection.  A server-owned
-        store (opened from a path) is closed, which drains its persistent
-        worker pools; a caller-provided store is left open for its owner.
+        store (opened from a path) is closed; a caller-provided store is
+        left open for its owner.
         """
         if self._stopped:
             return
@@ -550,7 +549,7 @@ class ProvenanceServer:
             committed: list[int] = []  # every entry was a replayed duplicate
         elif add_many is not None:
             # the sharded store's ingest service: per-shard sub-batches
-            # commit concurrently through its persistent worker pool
+            # commit concurrently, one thread per shard touched
             committed = list(add_many(labeled))
         else:
             committed = [self._store.add_labeled_run(item) for item in labeled]
@@ -588,7 +587,7 @@ class ProvenanceServer:
         return Writer().put_str(json.dumps(specs)).getvalue()
 
     def _op_health(self, state: _Connection, reader: Reader) -> bytes:
-        """Liveness report (protocol v3): shard reachability and pools.
+        """Liveness report (protocol v3): shard reachability and counters.
 
         Runs on the event-loop thread like every other op — a wedged
         store operation therefore makes HEALTH hang too, which is exactly
@@ -609,7 +608,6 @@ class ProvenanceServer:
             "protocol": wire.PROTOCOL_VERSION,
             "shards_total": len(shard_stores),
             "shards_reachable": reachable,
-            "pools": store.pool_stats(),
             "connections": len(self._connections),
             "ingest_buffered": len(state.ingest_buffer),
             "degraded": store.cache_stats().get("degraded", {}),

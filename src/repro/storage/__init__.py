@@ -3,8 +3,8 @@
 Two store layouts share one query surface: the classic single-file
 :class:`ProvenanceStore` and the write-scalable
 :class:`ShardedProvenanceStore` (N WAL-mode shard files, specs routed by a
-stable hash, runs ingested per shard concurrently through a persistent
-worker pool).  :func:`open_store` picks the right one for a path.
+stable hash, each shard's runs of a batch committed concurrently on
+their own thread).  :func:`open_store` picks the right one for a path.
 """
 
 from repro.storage.database import connect, initialize_schema

@@ -22,10 +22,10 @@ a single caller:
   (:func:`~repro.storage.store.load_label_arrays`, the engine caches, the
   persisted interner handles) works on a shard file unchanged.
 * **Write path** — :meth:`add_labeled_runs` groups a batch by shard and
-  commits each shard's sub-batch **concurrently** through the store's
-  persistent worker pool (:mod:`repro.engine.pool`): one task per shard,
-  one transaction per task, a private WAL-mode connection per task.  WAL
-  keeps concurrent readers unblocked while a shard commits.  A per-shard
+  commits each shard's sub-batch **concurrently** on a thread pool opened
+  for the call (at most one thread per shard touched): one task per shard,
+  one transaction and a private WAL-mode connection per task.  WAL keeps
+  concurrent readers unblocked while a shard commits.  A per-shard
   lock serializes the writers of one shard (SQLite would anyway), so
   batches interleave safely with synchronous writes.
 * **Read path** — everything else delegates to an inner per-shard
@@ -57,10 +57,10 @@ import sqlite3
 import threading
 import zlib
 from collections.abc import Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.engine.pool import WorkerPoolOwner
 from repro.exceptions import StorageError
 from repro.skeleton.skl import SkeletonLabeledRun
 from repro.storage.database import connect
@@ -73,7 +73,6 @@ from repro.storage.store import (
     STORED_RUN_CACHE_LIMIT,
     insert_labeled_run,
     insert_specification,
-    warn_deprecated_query,
 )
 from repro.workflow.specification import WorkflowSpecification
 
@@ -131,7 +130,7 @@ def shard_of_run(run_id: int, shards: int) -> int:
     return (int(run_id) - 1) % shards
 
 
-class ShardedProvenanceStore(WorkerPoolOwner):
+class ShardedProvenanceStore:
     """Workflow provenance sharded across N SQLite files, one query surface.
 
     Parameters
@@ -247,11 +246,10 @@ class ShardedProvenanceStore(WorkerPoolOwner):
             raise StorageError("store is closed")
 
     def close(self) -> None:
-        """Close the worker pools and every shard connection (idempotent)."""
+        """Close every shard connection (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        self.close_pools()
         self._routing.close()
         self._replicas.close()
         for store in self._stores:
@@ -262,9 +260,6 @@ class ShardedProvenanceStore(WorkerPoolOwner):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def pool_owner_description(self) -> str:
-        return f"ShardedProvenanceStore({str(self.path)!r})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -319,7 +314,7 @@ class ShardedProvenanceStore(WorkerPoolOwner):
     ) -> list[int]:
         """Commit one shard's sub-batch in a single transaction.
 
-        Runs on a pool worker over a **private** WAL connection, so shard
+        Runs on an ingest thread over a **private** WAL connection, so shard
         batches commit concurrently with each other and with readers; the
         per-shard lock keeps this process's writers of the shard serial.
         """
@@ -376,8 +371,9 @@ class ShardedProvenanceStore(WorkerPoolOwner):
         """Store many labeled runs, committing per shard concurrently.
 
         The batch is grouped by owning shard; each shard's sub-batch is one
-        worker-pool task holding one transaction, so N shards absorb up to
-        N concurrent commits.  Returns the global run ids **in input
+        task holding one transaction, on a thread pool of at most one thread
+        per shard touched that closes before this returns, so N shards
+        absorb up to N concurrent commits.  Returns the global run ids **in input
         order**.  A failing shard rolls back its whole sub-batch (other
         shards' commits stand) and the first error is re-raised after every
         task finished.
@@ -391,19 +387,21 @@ class ShardedProvenanceStore(WorkerPoolOwner):
             shard = self._routed_shard_of_spec(labeled.run.specification.name)
             groups.setdefault(shard, []).append(position)
         if len(groups) == 1:
-            # one shard: a pool round trip buys nothing, commit inline
+            # one shard: a thread round trip buys nothing, commit inline
             ((shard, positions),) = groups.items()
             run_ids = self._ingest_shard_batch(shard, runs)
             return list(run_ids)
-        pool = self.worker_pool("thread")
-        futures = {
-            shard: pool.submit(
-                self._ingest_shard_batch,
-                shard,
-                [runs[position] for position in positions],
-            )
-            for shard, positions in groups.items()
-        }
+        with ThreadPoolExecutor(
+            max_workers=len(groups), thread_name_prefix="repro-ingest"
+        ) as threads:
+            futures = {
+                shard: threads.submit(
+                    self._ingest_shard_batch,
+                    shard,
+                    [runs[position] for position in positions],
+                )
+                for shard, positions in groups.items()
+            }
         ids: list[Optional[int]] = [None] * len(runs)
         first_error: Optional[BaseException] = None
         for shard, positions in groups.items():
@@ -625,7 +623,7 @@ class ShardedProvenanceStore(WorkerPoolOwner):
         return arrays
 
     # ------------------------------------------------------------------
-    # the session surface (private plan entry points + deprecated shims)
+    # the session surface (private plan entry points)
     # ------------------------------------------------------------------
     def session(self):
         """The sharded store's :class:`~repro.api.ProvenanceSession`."""
@@ -676,30 +674,6 @@ class ShardedProvenanceStore(WorkerPoolOwner):
         """Count one graceful-degradation event (see the single store's doc)."""
         self._degraded[kind] = self._degraded.get(kind, 0) + 1
 
-    def _deprecated(self, old: str, query: str) -> None:
-        # one hop deeper than the shared helper's default (shim -> here -> warn)
-        warn_deprecated_query("ShardedProvenanceStore", old, query, stacklevel=4)
-
-    def reaches(self, run_id: int, source, target) -> bool:
-        """Deprecated shim; use a PointQuery through ``session()``."""
-        self._deprecated("reaches", "PointQuery")
-        return self._reaches(run_id, source, target)
-
-    def reaches_batch(self, run_id: int, pairs) -> list[bool]:
-        """Deprecated shim; use a BatchQuery through ``session()``."""
-        self._deprecated("reaches_batch", "BatchQuery")
-        return self._reaches_batch(run_id, pairs)
-
-    def downstream_of(self, run_id: int, execution):
-        """Deprecated shim; use a DownstreamQuery through ``session()``."""
-        self._deprecated("downstream_of", "DownstreamQuery")
-        return self._dependency_sweep(run_id, execution, downstream=True)
-
-    def upstream_of(self, run_id: int, execution):
-        """Deprecated shim; use an UpstreamQuery through ``session()``."""
-        self._deprecated("upstream_of", "UpstreamQuery")
-        return self._dependency_sweep(run_id, execution, downstream=False)
-
     # ------------------------------------------------------------------
     # data provenance (routed by run id)
     # ------------------------------------------------------------------
@@ -747,8 +721,7 @@ class ShardedProvenanceStore(WorkerPoolOwner):
         surfaces them unchanged); ``shards`` carries the **skew table** —
         per-shard spec count, run count, on-disk bytes, sweep hit counters,
         attached replicas and routed (override-placed) specs — so an
-        operator can see which shard to split; the per-mode ``pools``
-        report the sharded layer's own state.
+        operator can see which shard to split.
         """
         totals = {
             "stored_runs_cached": 0,
@@ -796,17 +769,13 @@ class ShardedProvenanceStore(WorkerPoolOwner):
                     "routed_specs": int(routed_of.get(index, 0)),
                 }
             )
-        stats = {
+        return {
             "shards": {"count": self.shard_count, "per_shard": per_shard},
             **totals,
             "limit": STORED_RUN_CACHE_LIMIT * self.shard_count,
             "pushdown": pushdown,
             "degraded": degraded,
         }
-        pools = self.pool_stats()
-        if pools:
-            stats["pools"] = pools
-        return stats
 
     def statistics(self) -> dict:
         """Row counts per table, summed across every shard."""

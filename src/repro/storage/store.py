@@ -8,32 +8,33 @@ argument (Section 7): skeleton labels are stored once per specification
 stores only its three context coordinates and the name of its origin module —
 ``3 log nR + log nG`` bits of information per vertex.
 
-Two query paths are offered.  The per-pair path (:meth:`ProvenanceStore.reaches`)
-issues one label SELECT per endpoint and is fine for interactive use.  The
-batched path (:meth:`ProvenanceStore.reaches_batch`,
-:meth:`ProvenanceStore.labels_of_many`, :meth:`ProvenanceStore.downstream_of`,
-:meth:`ProvenanceStore.upstream_of`) resolves all labels behind a query set
-with a single primary-key lookup (:func:`load_execution_labels`, chunked at
-:data:`LABEL_FETCH_CHUNK`, guarded against SQLite's 999-host-parameter
-limit) and evaluates the Algorithm 3 predicate batch-wise.
+Queries reach the store through its session (``store.session()``, a
+:class:`~repro.api.ProvenanceSession`), whose plans call two query paths.
+The per-pair point plan (:meth:`ProvenanceStore._reaches`) issues one
+label SELECT per endpoint and is fine for interactive use.  The batched
+plans (:meth:`ProvenanceStore._reaches_batch`,
+:meth:`ProvenanceStore.labels_of_many`,
+:meth:`ProvenanceStore._dependency_sweep`) resolve all labels behind a
+query set with a single primary-key lookup (:func:`load_execution_labels`,
+chunked at :data:`LABEL_FETCH_CHUNK`, guarded against SQLite's
+999-host-parameter limit) and evaluate the Algorithm 3 predicate
+batch-wise.
 
 For replayed workloads the store additionally keeps, per ``(run_id,
 spec_scheme)``, a cached skeleton-labeled view of the run whose labels are
 fetched from SQL **at most once** and whose compiled
 :class:`~repro.engine.QueryEngine` kernel is reused across calls: repeated
-:meth:`~ProvenanceStore.reaches_batch` /
-:meth:`~ProvenanceStore.downstream_of` / :meth:`~ProvenanceStore.upstream_of`
-calls pay neither label re-resolution nor SQL round trips.  The interner
-behind those handles is persisted with the run (the ``vertex_id`` column),
-so handles are stable across store sessions; :meth:`ProvenanceStore.query_engine`
-exposes the cached engine for handle-native callers (the CLI's
-``query-batch`` interns its whole input file once through it).
+batches and dependency sweeps pay neither label re-resolution nor SQL
+round trips.  The interner behind those handles is persisted with the run
+(the ``vertex_id`` column), so handles are stable across store sessions;
+:meth:`ProvenanceStore.query_engine` exposes the cached engine for
+handle-native callers (the CLI's ``query-batch`` interns its whole input
+file once through it).
 """
 
 from __future__ import annotations
 
 import sqlite3
-import warnings
 from array import array
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
@@ -42,7 +43,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.engine.kernels import SpecKernel, compile_spec_kernel
-from repro.engine.pool import WorkerPoolOwner
 from repro.engine.query import QueryEngine
 from repro.exceptions import StorageError
 from repro.faults import fault_point
@@ -90,7 +90,6 @@ __all__ = [
     "label_lookup_sql",
     "insert_specification",
     "insert_labeled_run",
-    "warn_deprecated_query",
 ]
 
 PathLike = Union[str, Path]
@@ -376,32 +375,7 @@ def insert_labeled_run(
     return run_id
 
 
-def warn_deprecated_query(
-    owner: str, old: str, query: str, *, stacklevel: int = 3
-) -> None:
-    """Warn that a legacy store query method was used, blaming the caller.
-
-    Shared by both store layouts so the deprecation text and — crucially —
-    the ``stacklevel`` arithmetic live in one place: with the default of 3
-    the warning is attributed to the caller of the public shim (helper →
-    shim → caller), so ``-W error::DeprecationWarning`` reports the user's
-    own line, not ``store.py``.  Callers that add a delegation hop must
-    bump *stacklevel* accordingly.
-    """
-    warnings.warn(
-        f"{owner}.{old} is deprecated: run a {query} through the "
-        "store's ProvenanceSession (store.session().run(...)) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def _deprecated_store_entry(old: str, query: str) -> None:
-    # one hop deeper than the shared helper's default (shim → here → warn)
-    warn_deprecated_query("ProvenanceStore", old, query, stacklevel=4)
-
-
-class ProvenanceStore(WorkerPoolOwner):
+class ProvenanceStore:
     """Persist and query workflow provenance in a SQLite database.
 
     ``journal_mode`` is the SQLite journal the store's connections use;
@@ -458,11 +432,10 @@ class ProvenanceStore(WorkerPoolOwner):
             raise StorageError("store is closed")
 
     def close(self) -> None:
-        """Close the underlying connection and any worker pools (idempotent)."""
+        """Close the underlying connection (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        self.close_pools()
         self._connection.close()
 
     def __enter__(self) -> "ProvenanceStore":
@@ -470,9 +443,6 @@ class ProvenanceStore(WorkerPoolOwner):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def pool_owner_description(self) -> str:
-        return f"ProvenanceStore({str(self.path)!r})"
 
     # ------------------------------------------------------------------
     # specifications
@@ -773,21 +743,6 @@ class ProvenanceStore(WorkerPoolOwner):
             for row in rows
         }
 
-    def reaches(
-        self,
-        run_id: int,
-        source: Union[RunVertex, tuple[str, int]],
-        target: Union[RunVertex, tuple[str, int]],
-    ) -> bool:
-        """Decide reachability between two stored module executions.
-
-        .. deprecated::
-            Run a :class:`~repro.api.PointQuery` through
-            ``store.session()`` instead; this shim delegates unchanged.
-        """
-        _deprecated_store_entry("reaches", "PointQuery")
-        return self._reaches(run_id, source, target)
-
     def _reaches(
         self,
         run_id: int,
@@ -853,20 +808,6 @@ class ProvenanceStore(WorkerPoolOwner):
         """
         return run_id in self._engine_cache
 
-    def reaches_batch(
-        self,
-        run_id: int,
-        pairs: Iterable[tuple],
-    ) -> list[bool]:
-        """Answer many reachability queries over one stored run at once.
-
-        .. deprecated::
-            Run a :class:`~repro.api.BatchQuery` through
-            ``store.session()`` instead; this shim delegates unchanged.
-        """
-        _deprecated_store_entry("reaches_batch", "BatchQuery")
-        return self._reaches_batch(run_id, pairs)
-
     def _reaches_batch(
         self,
         run_id: int,
@@ -900,34 +841,6 @@ class ProvenanceStore(WorkerPoolOwner):
             for source, target in coerced
         ]
         return skeleton_predicate_many(label_pairs, index.spec_index)
-
-    def downstream_of(
-        self,
-        run_id: int,
-        execution: Union[RunVertex, tuple[str, int]],
-    ) -> list[tuple[str, int]]:
-        """Every stored execution that depends on *execution* (excluding itself).
-
-        .. deprecated::
-            Run a :class:`~repro.api.DownstreamQuery` through
-            ``store.session()`` instead; this shim delegates unchanged.
-        """
-        _deprecated_store_entry("downstream_of", "DownstreamQuery")
-        return self._dependency_sweep(run_id, execution, downstream=True)
-
-    def upstream_of(
-        self,
-        run_id: int,
-        execution: Union[RunVertex, tuple[str, int]],
-    ) -> list[tuple[str, int]]:
-        """Every stored execution that *execution* depends on (excluding itself).
-
-        .. deprecated::
-            Run an :class:`~repro.api.UpstreamQuery` through
-            ``store.session()`` instead; this shim delegates unchanged.
-        """
-        _deprecated_store_entry("upstream_of", "UpstreamQuery")
-        return self._dependency_sweep(run_id, execution, downstream=False)
 
     def _dependency_sweep(
         self,
@@ -1124,7 +1037,7 @@ class ProvenanceStore(WorkerPoolOwner):
         and kernel compilation again.  Surfaced through
         :meth:`ProvenanceSession.cache_stats`.
         """
-        stats = {
+        return {
             "stored_runs_cached": len(self._stored_run_cache),
             "engines_cached": len(self._engine_cache),
             "spec_kernels_cached": len(self._spec_kernel_cache),
@@ -1136,10 +1049,6 @@ class ProvenanceStore(WorkerPoolOwner):
             },
             "degraded": dict(self._degraded),
         }
-        pools = self.pool_stats()
-        if pools:
-            stats["pools"] = pools
-        return stats
 
     def statistics(self) -> dict:
         """Return row counts per table (for diagnostics and tests)."""

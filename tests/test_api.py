@@ -154,29 +154,6 @@ class TestIndexSession:
 
 
 class TestStoreSession:
-    def test_matches_deprecated_entry_points(self, multi_run_store):
-        store, run_ids = multi_run_store
-        session = store.session()
-        run = store.get_run(run_ids[0])
-        vertices = run.vertices()
-        pairs = [(u, v) for u in vertices[:5] for v in vertices[:5]]
-        batch = session.run(BatchQuery(pairs=pairs, run_id=run_ids[0]))
-        with pytest.warns(DeprecationWarning):
-            legacy = store.reaches_batch(run_ids[0], pairs)
-        assert list(map(bool, batch)) == list(map(bool, legacy))
-        with pytest.warns(DeprecationWarning):
-            assert session.run(
-                PointQuery(("a", 1), ("h", 1), run_id=run_ids[0])
-            ) == store.reaches(run_ids[0], ("a", 1), ("h", 1))
-        with pytest.warns(DeprecationWarning):
-            assert sorted(
-                session.run(DownstreamQuery(("a", 1), run_id=run_ids[0]))
-            ) == sorted(store.downstream_of(run_ids[0], ("a", 1)))
-        with pytest.warns(DeprecationWarning):
-            assert sorted(
-                session.run(UpstreamQuery(("h", 1), run_id=run_ids[0]))
-            ) == sorted(store.upstream_of(run_ids[0], ("h", 1)))
-
     def test_handle_native_batch(self, multi_run_store):
         store, run_ids = multi_run_store
         session = store.session()

@@ -235,18 +235,15 @@ def test_online_session_stays_correct_across_appends(
 @given(
     specification_and_run(),
     st.sampled_from(("tcm", "tree-cover", "bfs")),
-    st.sampled_from(("thread", "process")),
 )
 @FEW
-def test_parallel_cross_run_is_bit_identical_to_sequential(
-    spec_and_run, scheme, mode
-):
+def test_parallel_cross_run_is_bit_identical_to_sequential(spec_and_run, scheme):
     """Parallel execution must answer exactly what the sequential path does.
 
-    Every pool mode evaluates the same compiled-kernel formula over the
-    same streamed label arrays, so on random specifications, runs and
-    schemes the parallel sweep and batch must be **bit-identical** to the
-    retained sequential PR 3 path (which in turn is oracle-checked above).
+    Worker threads evaluate the same compiled-kernel formula over the same
+    streamed label arrays, so on random specifications, runs and schemes
+    the parallel sweep and batch must be **bit-identical** to the retained
+    sequential path (which in turn is oracle-checked above).
     """
     import tempfile
     from pathlib import Path
@@ -274,8 +271,8 @@ def test_parallel_cross_run_is_bit_identical_to_sequential(
             for v in vertices
         ]
 
-        sequential = CrossRunExecutor(store, workers=1, mode=mode)
-        parallel = CrossRunExecutor(store, workers=3, mode=mode)
+        sequential = CrossRunExecutor(store, workers=1)
+        parallel = CrossRunExecutor(store, workers=3)
         for direction in ("downstream", "upstream"):
             assert parallel.sweep(spec.name, anchor, direction) == sequential.sweep(
                 spec.name, anchor, direction

@@ -3,8 +3,8 @@
 Covers the injection framework itself (the ``REPRO_FAULTS`` grammar,
 trigger rules, seeded determinism, suppression, env activation), graceful
 degradation in the local stack (pushdown SQL faults falling back to the
-streamed kernel, crashed worker chunks retried then re-run sequentially,
-the broken-process-pool restart), the client's retry/backoff/reconnect
+streamed kernel, crashed or hung worker chunks retried then re-run
+sequentially), the client's retry/backoff/reconnect
 machinery (transport faults on send and receive, exactly-once ingest
 replay across a forced mid-flush disconnect, the circuit breaker), the
 HEALTH op, the stop()-during-buffered-ingest regression, and the CLI
@@ -15,9 +15,8 @@ against an unfaulted oracle — degradation may never change a result.
 from __future__ import annotations
 
 import json
-import os
+import threading
 import time
-from concurrent.futures import BrokenExecutor
 
 import pytest
 
@@ -30,8 +29,8 @@ from repro.api import (
 )
 from repro.cli import main
 from repro.datasets.synthetic import SyntheticSpecConfig, generate_specification
+import repro.engine.parallel as parallel
 from repro.engine.parallel import CrossRunExecutor
-from repro.engine.pool import PersistentWorkerPool
 from repro.exceptions import (
     CircuitOpenError,
     FaultSpecError,
@@ -207,6 +206,8 @@ class TestFaultSpecGrammar:
     def test_spec_errors(self):
         with pytest.raises(FaultSpecError, match="unknown fault point"):
             parse_fault_spec("disk.melt:oserror,once")
+        with pytest.raises(FaultSpecError, match="unknown fault point"):
+            parse_fault_spec("pool.submit:oserror")
         with pytest.raises(FaultSpecError, match="unknown key"):
             parse_fault_spec("pool.task:crash,when=later")
         with pytest.raises(FaultSpecError, match="bad seed"):
@@ -299,7 +300,7 @@ class TestPushdownDegradation:
 class TestWorkerDegradation:
     def test_crashed_chunk_is_retried_once(self, degradation_store):
         store, spec, anchor = degradation_store
-        executor = CrossRunExecutor(store, workers=2, mode="thread")
+        executor = CrossRunExecutor(store, workers=2)
         oracle = executor.sweep(spec.name, anchor)
         before = store.cache_stats()["degraded"].get("worker_retry", 0)
         plan = FaultPlan([FaultRule("pool.task", "crash", nth=1)])
@@ -311,7 +312,7 @@ class TestWorkerDegradation:
 
     def test_persistent_crash_degrades_to_sequential(self, degradation_store):
         store, spec, anchor = degradation_store
-        executor = CrossRunExecutor(store, workers=2, mode="thread")
+        executor = CrossRunExecutor(store, workers=2)
         oracle = executor.sweep(spec.name, anchor)
         # every=1: the retry fails too; only the suppressed() sequential
         # fallback can finish — and it must match bit-identically
@@ -323,39 +324,44 @@ class TestWorkerDegradation:
         assert counters["worker_retry"] >= 1
         assert counters["worker_sequential"] >= 1
 
-    def test_submit_failure_counts_as_first_attempt(self, degradation_store):
+    def test_hung_chunk_times_out_without_waiting_for_its_thread(
+        self, degradation_store, monkeypatch
+    ):
         store, spec, anchor = degradation_store
-        executor = CrossRunExecutor(store, workers=2, mode="thread")
-        oracle = executor.sweep(spec.name, anchor)
-        plan = FaultPlan([FaultRule("pool.submit", "oserror", nth=1)])
-        with plan.active():
-            degraded = executor.sweep(spec.name, anchor)
-        assert plan.fired == {"pool.submit": 1}
-        assert degraded == oracle
-        assert store.cache_stats()["degraded"]["worker_retry"] >= 1
+        oracle = CrossRunExecutor(store, workers=1).sweep(spec.name, anchor)
+        hung_run = int(store.list_runs(spec.name)[0]["run_id"])
+        caller = threading.current_thread()
+        release = threading.Event()
+        hung_threads = set()
+        fetch = parallel._fetch_chunk_arrays
 
+        def hanging_fetch(db_path, run_ids):
+            # the hung run's chunk blocks on every worker thread; only the
+            # inline fallback on the calling thread gets through
+            if hung_run in run_ids and threading.current_thread() is not caller:
+                hung_threads.add(threading.current_thread())
+                release.wait()
+            return fetch(db_path, run_ids)
 
-class TestBrokenPoolRestart:
-    def test_process_pool_restarts_after_worker_death(self):
-        pool = PersistentWorkerPool(mode="process", workers=2)
+        monkeypatch.setattr(parallel, "_fetch_chunk_arrays", hanging_fetch)
+        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "0.2")
+        before = store.cache_stats()["degraded"]
+        # never hang the suite, even if the sweep waited for its workers
+        failsafe = threading.Timer(5.0, release.set)
+        failsafe.start()
         try:
-            assert pool.submit(sum, (1, 2)).result() == 3
-            with pytest.raises(BrokenExecutor):
-                pool.submit(os._exit, 13).result()
-            # the next submit detects the broken executor, discards it and
-            # lazily starts a fresh pool
-            assert pool.submit(sum, (20, 22)).result() == 42
-            assert pool.restarts == 1
-            assert pool.stats()["restarts"] == 1
-            assert pool.starts == 2
+            degraded = CrossRunExecutor(store, workers=2).sweep(spec.name, anchor)
+            # the sweep returned while the hung chunk's thread still waited
+            assert not release.is_set()
         finally:
-            pool.close()
-
-    def test_closed_pool_still_refuses_submits(self):
-        pool = PersistentWorkerPool(mode="thread", workers=1)
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.submit(int)
+            release.set()
+            failsafe.cancel()
+            for thread in hung_threads:
+                thread.join(5.0)
+        assert degraded == oracle
+        after = store.cache_stats()["degraded"]
+        for kind in ("worker_retry", "worker_sequential"):
+            assert after[kind] == before.get(kind, 0) + 1, kind
 
 
 # ----------------------------------------------------------------------

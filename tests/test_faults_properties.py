@@ -49,7 +49,6 @@ FAULT_CASES = (
     ("client.send", "oserror"),
     ("client.recv", "oserror"),
     ("pool.task", "crash"),
-    ("pool.submit", "oserror"),
     ("pushdown.sql", "sql"),
     ("store.load_label_arrays", "sql"),
 )

@@ -11,6 +11,7 @@ import pytest
 
 import repro.storage.database as database_module
 import repro.storage.store as store_module
+from repro.api import BatchQuery
 from repro.engine import QueryEngine
 from repro.engine.kernels import HAS_NUMPY, _GenericKernel, build_kernel
 from repro.exceptions import LabelingError, StorageError, VertexNotFoundError
@@ -403,7 +404,6 @@ class TestRowValueChunkGuard:
             assert len(labels) == len(executions)
 
 
-@pytest.mark.filterwarnings("ignore:ProvenanceStore:DeprecationWarning")
 class TestStoredEngine:
     @pytest.fixture()
     def store(self) -> ProvenanceStore:
@@ -440,9 +440,9 @@ class TestStoredEngine:
         statements: list[str] = []
         store._connection.set_trace_callback(statements.append)
         try:
-            assert store.reaches_batch(run_id, pairs) == [True, False]
-            assert store.reaches_batch(run_id, pairs) == [True, False]
-            store.downstream_of(run_id, ("a", 1))
+            assert store._reaches_batch(run_id, pairs) == [True, False]
+            assert store._reaches_batch(run_id, pairs) == [True, False]
+            store._dependency_sweep(run_id, ("a", 1), downstream=True)
         finally:
             store._connection.set_trace_callback(None)
         assert not any("SELECT" in s for s in statements)
@@ -471,7 +471,8 @@ class TestStoredEngine:
         assert run_ids[0] not in store._stored_run_cache
         # evicted runs still answer (labels re-fetched transparently)
         first_pair = [synthetic_run.run.vertices()[0]] * 2
-        assert store.reaches_batch(run_ids[0], [tuple(first_pair)]) == [True]
+        query = BatchQuery(pairs=[tuple(first_pair)], run_id=run_ids[0])
+        assert store.session().run(query) == [True]
 
     def test_evicted_runs_are_freed_on_eviction(
         self, store, paper_labeled_run, monkeypatch
@@ -526,11 +527,12 @@ class TestStoredEngine:
         self, store, paper_labeled_run
     ):
         run_id = store.add_labeled_run(paper_labeled_run)
+        query = BatchQuery(pairs=[(("a", 1), ("ghost", 9))], run_id=run_id)
         with pytest.raises(StorageError):
-            store.reaches_batch(run_id, [(("a", 1), ("ghost", 9))])
+            store.session().run(query)
         store.query_engine(run_id)  # full mode changes nothing about errors
         with pytest.raises(StorageError):
-            store.reaches_batch(run_id, [(("a", 1), ("ghost", 9))])
+            store.session().run(query)
 
     def test_schema_migration_adds_vertex_id_column(self, tmp_path):
         # A database written by schema version 1 (no vertex_id column) must

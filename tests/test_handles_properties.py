@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.api import BatchQuery
 from repro.datasets.synthetic import SyntheticSpecConfig, generate_specification
 from repro.engine import QueryEngine
 from repro.exceptions import DatasetError, LabelingError
@@ -217,7 +217,6 @@ def test_skeleton_handle_answers_match_oracle_across_spec_schemes(
         ] == oracle, scheme
 
 
-@pytest.mark.filterwarnings("ignore:ProvenanceStore:DeprecationWarning")
 @given(specification_and_run(), st.integers(min_value=0, max_value=10_000))
 @FEW
 def test_store_cached_engine_matches_oracle_and_object_api(spec_and_run, query_seed):
@@ -234,11 +233,12 @@ def test_store_cached_engine_matches_oracle_and_object_api(spec_and_run, query_s
     with ProvenanceStore(":memory:") as store:
         run_id = store.add_labeled_run(labeled)
         # cold partial-cache path, then the cached-kernel path: both exact
-        assert store.reaches_batch(run_id, pairs) == oracle
+        query = BatchQuery(pairs=pairs, run_id=run_id)
+        assert store.session().run(query) == oracle
         engine = store.query_engine(run_id)
         sources, targets = engine.intern_pairs(pairs)
         assert [bool(a) for a in engine.reaches_many_ids(sources, targets)] == oracle
-        assert store.reaches_batch(run_id, pairs) == oracle
+        assert store.session().run(query) == oracle
         # the persisted interner hands back the ids the run assigned
         for vertex in vertices:
             assert engine.interner.id_of(vertex) == labeled.intern(vertex)

@@ -1,10 +1,11 @@
 """Tests for the parallel cross-run execution subsystem.
 
-Covers the executor (worker resolution, sequential auto-selection, thread
-and process pool modes, bit-identical answers), the chunked multi-run
-prefetch, the generalized cross-run batch/point queries, the session's
-adaptive point-query promotion (with a SQL statement probe), and the CLI
-surface (``sweep --workers``, ``cross-batch``).
+Covers the executor (worker resolution, sequential auto-selection,
+bit-identical answers on worker threads, one pool per sweep whose threads
+end with it), the chunked multi-run prefetch, the generalized cross-run
+batch/point queries, the session's adaptive point-query promotion (with a
+SQL statement probe), and the CLI surface (``sweep --workers``,
+``cross-batch``).
 """
 
 from __future__ import annotations
@@ -94,16 +95,29 @@ class TestResolveWorkers:
 
 
 class TestExecutorModes:
-    def test_thread_and_process_match_sequential(self, parallel_store, anchor):
+    def test_thread_workers_match_sequential(self, parallel_store, anchor):
         store, run_ids, spec = parallel_store
         sequential = CrossRunExecutor(store, workers=1).sweep(spec.name, anchor)
-        for mode in ("thread", "process"):
-            parallel = CrossRunExecutor(store, workers=3, mode=mode).sweep(
-                spec.name, anchor
-            )
-            assert parallel == sequential, mode
+        parallel = CrossRunExecutor(store, workers=3).sweep(spec.name, anchor)
+        assert parallel == sequential
         per_run, skipped = sequential
         assert set(per_run) | set(skipped) == set(run_ids)
+
+    def test_workers_beyond_the_auto_cap_match_sequential(
+        self, parallel_store, anchor
+    ):
+        store, _, spec = parallel_store
+        sequential = CrossRunExecutor(store, workers=1).sweep(spec.name, anchor)
+        wide = CrossRunExecutor(store, workers=MAX_AUTO_WORKERS + 4)
+        assert wide.sweep(spec.name, anchor) == sequential
+
+    def test_compiled_plan_re_executes_identically(self, parallel_store, anchor):
+        store, _, spec = parallel_store
+        session = ProvenanceSession(store)
+        plan = session.compile(CrossRunQuery(spec.name, anchor, workers=2))
+        first = plan.execute()
+        for _ in range(2):
+            assert plan.execute().per_run == first.per_run
 
     def test_upstream_direction(self, parallel_store):
         store, run_ids, spec = parallel_store
@@ -125,11 +139,8 @@ class TestExecutorModes:
             for v in vertices
         ]
         sequential = CrossRunExecutor(store, workers=1).batch(spec.name, pairs)
-        for mode in ("thread", "process"):
-            parallel = CrossRunExecutor(store, workers=3, mode=mode).batch(
-                spec.name, pairs
-            )
-            assert parallel == sequential, mode
+        parallel = CrossRunExecutor(store, workers=3).batch(spec.name, pairs)
+        assert parallel == sequential
         per_run, _ = sequential
         session = ProvenanceSession(store)
         for run_id, answers in per_run.items():
@@ -149,21 +160,6 @@ class TestExecutorModes:
             per_run, skipped = executor.sweep(paper_spec.name, ("a", 1))
             assert len(per_run) == 1 and skipped == []
 
-    def test_invalid_mode_rejected(self, parallel_store, monkeypatch):
-        store, _, _ = parallel_store
-        with pytest.raises(QueryPlanError):
-            CrossRunExecutor(store, mode="fleet")
-        monkeypatch.setenv("REPRO_PARALLEL", "banana")
-        with pytest.raises(QueryPlanError):
-            CrossRunExecutor(store)
-
-    def test_mode_read_from_environment(self, parallel_store, monkeypatch):
-        store, _, _ = parallel_store
-        monkeypatch.setenv("REPRO_PARALLEL", "process")
-        assert CrossRunExecutor(store).mode == "process"
-        monkeypatch.delenv("REPRO_PARALLEL")
-        assert CrossRunExecutor(store).mode == "thread"
-
     def test_unknown_specification_raises(self, parallel_store):
         store, _, _ = parallel_store
         with pytest.raises(StorageError):
@@ -173,6 +169,45 @@ class TestExecutorModes:
         store, _, spec = parallel_store
         with pytest.raises(QueryPlanError):
             CrossRunExecutor(store).batch(spec.name, [])
+
+
+class TestPerCallThreads:
+    def test_each_parallel_sweep_opens_and_ends_its_own_threads(
+        self, parallel_store, anchor, monkeypatch
+    ):
+        import threading
+
+        import repro.engine.parallel as parallel
+
+        store, _, spec = parallel_store
+        opened = []
+        open_pool = parallel.ThreadPoolExecutor
+
+        def recording_pool(*args, **kwargs):
+            opened.append(kwargs["max_workers"])
+            return open_pool(*args, **kwargs)
+
+        fetchers = set()
+        fetch = parallel._fetch_chunk_arrays
+
+        def recording_fetch(db_path, run_ids):
+            fetchers.add(threading.current_thread())
+            return fetch(db_path, run_ids)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(parallel, "_fetch_chunk_arrays", recording_fetch)
+        # a chaos-profile crash would move a chunk onto the calling thread
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        before = set(threading.enumerate())
+        CrossRunExecutor(store, workers=1).sweep(spec.name, anchor)
+        assert opened == []  # the sequential path starts no thread
+        for workers in (2, 3):
+            CrossRunExecutor(store, workers=workers).sweep(spec.name, anchor)
+        # one pool per parallel sweep, exactly as wide as its worker count
+        assert opened == [2, 3]
+        assert fetchers and threading.current_thread() not in fetchers
+        assert not any(thread.is_alive() for thread in fetchers)
+        assert set(threading.enumerate()) <= before
 
 
 class TestChunkedPrefetch:

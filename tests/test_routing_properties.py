@@ -6,9 +6,9 @@ guarantee: after **any** interleaving of maintenance operations —
 run deletion — a sharded store must keep answering cross-run sweeps,
 cross-run batches and per-run label reads bit-identically to a
 single-file store that saw the same data operations (which has no
-maintenance to do).  Thread and
-process pools are both exercised, so relocated rows and replica
-snapshots are read over every connection style the executor uses.
+maintenance to do).  Sweeps run on worker threads, so relocated rows
+and replica snapshots are read over the executor's task-private
+connections as well as the store's own.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ def maintenance_ops(draw):
     return ops
 
 
-@given(ops=maintenance_ops(), mode=st.sampled_from(("thread", "process")))
+@given(ops=maintenance_ops())
 @FEW
 def test_op_sequences_stay_bit_identical_to_the_single_file_store(
-    ops, mode, tmp_path_factory
+    ops, tmp_path_factory
 ):
     base = tmp_path_factory.mktemp("routing-hypo")
     specs = _specs()
@@ -114,14 +114,14 @@ def test_op_sequences_stay_bit_identical_to_the_single_file_store(
                 want = CrossRunExecutor(single, workers=1).sweep(
                     name, anchors[name]
                 )
-                got = CrossRunExecutor(sharded, workers=2, mode=mode).sweep(
+                got = CrossRunExecutor(sharded, workers=2).sweep(
                     name, anchors[name]
                 )
                 assert list(got[0].values()) == list(want[0].values())
                 assert len(got[1]) == len(want[1])
                 # batches read each shard connection a spec spans (split)
                 want = CrossRunExecutor(single, workers=1).batch(name, pairs[name])
-                got = CrossRunExecutor(sharded, workers=2, mode=mode).batch(
+                got = CrossRunExecutor(sharded, workers=2).batch(
                     name, pairs[name]
                 )
                 assert list(got[0].values()) == list(want[0].values())

@@ -3,8 +3,8 @@
 Covers routing and global-id allocation, the full ``ProvenanceStore``
 surface parity through the session, the per-shard batched write path
 (including input-order ids, duplicate detection and reopen), concurrent
-writer/reader stress, shard-aware parallel execution, the CLI ``--shards``
-flag, and the persistent worker pool's lifecycle.
+writer/reader stress, shard-aware parallel execution, and the CLI
+``--shards`` flag.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class TestIngest:
             sharded_store.add_labeled_runs(labeled_batch)
         assert sharded_store.statistics() == before
 
-    def test_multi_spec_batch_spreads_and_answers(self, tmp_path):
+    def test_multi_spec_batch_spreads_and_answers(self, tmp_path, monkeypatch):
         from repro.datasets.synthetic import SyntheticSpecConfig, generate_specification
 
         specs = [
@@ -173,12 +173,27 @@ class TestIngest:
             )
             for i, spec in enumerate(specs)
         ]
+        ingest = ShardedProvenanceStore._ingest_shard_batch
+        committers = set()
+
+        def recording_ingest(self, shard, batch):
+            committers.add(threading.current_thread())
+            return ingest(self, shard, batch)
+
+        monkeypatch.setattr(
+            ShardedProvenanceStore, "_ingest_shard_batch", recording_ingest
+        )
         with ShardedProvenanceStore(tmp_path / "multi", 4) as store:
+            before = set(threading.enumerate())
             ids = store.add_labeled_runs(labeled)
             touched = {store.shard_path_of(run_id) for run_id in ids}
             assert len(touched) > 1, "expected the specs to spread over shards"
-            # the ingest pool was exercised (multi-shard batches fan out)
-            assert store.pool_stats()["thread"]["tasks_submitted"] >= 2
+            # the shard sub-batches committed on at most one thread per
+            # shard touched, and every one of them ended with the call
+            assert 1 <= len(committers) <= len(touched)
+            assert threading.current_thread() not in committers
+            assert not any(thread.is_alive() for thread in committers)
+            assert set(threading.enumerate()) <= before
             for run_id, item in zip(ids, labeled):
                 assert store.all_labels_of(run_id) == item.labels()
 
@@ -247,31 +262,15 @@ class TestSurfaceParity:
                 sharded_batch.per_run.values()
             )
 
-    def test_deprecated_shims_delegate(self, both_stores):
+    def test_per_run_queries_delegate_to_the_owning_shard(self, both_stores):
         _, _, sharded, sharded_ids = both_stores
         run_id = sharded_ids[0]
-        with pytest.deprecated_call():
-            assert sharded.reaches(run_id, ("a", 1), ("h", 1)) is True
-        with pytest.deprecated_call():
-            assert sharded.reaches_batch(run_id, [(("a", 1), ("h", 1))]) == [True]
-        with pytest.deprecated_call():
-            downstream = sharded.downstream_of(run_id, ("a", 1))
-        with pytest.deprecated_call():
-            upstream = sharded.upstream_of(run_id, ("h", 1))
-        assert downstream and upstream
-
-    def test_deprecated_shim_warns_at_the_callers_line(self, both_stores):
-        import warnings
-
-        _, _, sharded, sharded_ids = both_stores
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sharded.reaches(sharded_ids[0], ("a", 1), ("h", 1))
-        shims = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(shims) == 1
-        # the warning must point at THIS file, not at the shim internals,
-        # so `-W error::DeprecationWarning` reports the user's own line
-        assert shims[0].filename == __file__
+        session = sharded.session()
+        assert session.run(PointQuery(("a", 1), ("h", 1), run_id=run_id)) is True
+        batch = BatchQuery(pairs=[(("a", 1), ("h", 1))], run_id=run_id)
+        assert session.run(batch) == [True]
+        assert session.run(DownstreamQuery(("a", 1), run_id=run_id))
+        assert session.run(UpstreamQuery(("h", 1), run_id=run_id))
 
     def test_close_is_idempotent(self, tmp_path):
         store = ShardedProvenanceStore(tmp_path / "close-twice", 2)
@@ -558,8 +557,12 @@ class TestReviewRegressions:
                 store.add_labeled_runs(labeled_batch)
 
     def test_explicit_worker_cap_bounds_pool_tasks(
-        self, tmp_path, paper_spec, paper_labeler
+        self, tmp_path, paper_spec, paper_labeler, monkeypatch
     ):
+        import time
+
+        import repro.engine.parallel as parallel
+
         store = ShardedProvenanceStore(tmp_path / "cap", 1)
         runs = [
             paper_labeler.label_run(
@@ -568,13 +571,28 @@ class TestReviewRegressions:
             for s in range(12)
         ]
         store.add_labeled_runs(runs)
-        executor = CrossRunExecutor(store, workers=2, mode="thread")
         sequential = CrossRunExecutor(store, workers=1).sweep(paper_spec.name, ("a", 1))
-        pool = store.worker_pool("thread")
-        before = pool.tasks_submitted
+        fetch = parallel._fetch_chunk_arrays
+        lock = threading.Lock()
+        running = [0]
+        most = [0]
+
+        def counted_fetch(db_path, run_ids):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                time.sleep(0.01)  # hold the slot so overlapping chunks show
+                return fetch(db_path, run_ids)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(parallel, "_fetch_chunk_arrays", counted_fetch)
+        executor = CrossRunExecutor(store, workers=2)
         assert executor.sweep(paper_spec.name, ("a", 1)) == sequential
-        # 12 runs at workers=2 over the 8-wide shared pool: at most 2 tasks
-        assert pool.tasks_submitted - before <= 2
+        # 12 runs in 3 chunks at workers=2: never more than 2 chunks at once
+        assert 1 <= most[0] <= 2
         store.close()
 
     def test_open_store_refuses_unrelated_directories(self, tmp_path):

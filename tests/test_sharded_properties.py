@@ -5,7 +5,7 @@ The contract of the sharded layout is total transparency: a
 labeled runs as a single-file :class:`~repro.storage.store.ProvenanceStore`
 must answer **every** query type bit-identically — point, batch,
 downstream/upstream sweeps, cross-run sweeps and cross-run batches, in
-sequential, thread-pool and process-pool execution alike.  Run ids differ
+sequential and thread-parallel execution alike.  Run ids differ
 between the layouts by construction (the sharded store encodes the owning
 shard into the id), so answers are compared run-for-run in insertion
 order.
@@ -95,11 +95,9 @@ def sharded_workload(draw):
     return specs, labeled, shards
 
 
-@given(workload=sharded_workload(), mode=st.sampled_from(("thread", "process")))
+@given(workload=sharded_workload())
 @FEW
-def test_every_query_type_is_bit_identical_across_layouts(
-    workload, mode, tmp_path_factory
-):
+def test_every_query_type_is_bit_identical_across_layouts(workload, tmp_path_factory):
     specs, labeled, shards = workload
     base = tmp_path_factory.mktemp("sharded-hypo")
     with ProvenanceStore(base / "single.db") as single, ShardedProvenanceStore(
@@ -140,9 +138,9 @@ def test_every_query_type_is_bit_identical_across_layouts(
             anchor = (anchor_vertex.module, anchor_vertex.instance)
             baseline = CrossRunExecutor(single, workers=1).sweep(spec.name, anchor)
             for store in (single, sharded):
-                per_run, skipped = CrossRunExecutor(
-                    store, workers=2, mode=mode
-                ).sweep(spec.name, anchor)
+                per_run, skipped = CrossRunExecutor(store, workers=2).sweep(
+                    spec.name, anchor
+                )
                 base_per_run, base_skipped = baseline
                 assert list(per_run.values()) == list(base_per_run.values())
                 assert len(skipped) == len(base_skipped)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import PointQuery
 from repro.exceptions import StorageError
 from repro.provenance.data import DataFlow
 from repro.skeleton.labels import RunLabel
@@ -83,7 +84,6 @@ class TestRunPersistence:
             store.delete_run(stored_run)
 
 
-@pytest.mark.filterwarnings("ignore:ProvenanceStore:DeprecationWarning")
 class TestStoredLabels:
     def test_label_round_trip(self, store, paper_labeled_run, stored_run):
         label = store.label_of(stored_run, "b", 2)
@@ -97,23 +97,25 @@ class TestStoredLabels:
 
     def test_reaches_matches_in_memory_answers(self, store, paper_labeled_run, stored_run):
         run = paper_labeled_run.run
+        session = store.session()
         for source in run.vertices():
             for target in run.vertices():
-                assert store.reaches(stored_run, source, target) == paper_labeled_run.reaches(
-                    source, target
-                )
+                answer = session.run(PointQuery(source, target, run_id=stored_run))
+                assert answer == paper_labeled_run.reaches(source, target)
 
     def test_reaches_accepts_tuples(self, store, stored_run):
-        assert store.reaches(stored_run, ("a", 1), ("h", 1))
-        assert not store.reaches(stored_run, ("h", 1), ("a", 1))
+        session = store.session()
+        assert session.run(PointQuery(("a", 1), ("h", 1), run_id=stored_run))
+        assert not session.run(PointQuery(("h", 1), ("a", 1), run_id=stored_run))
 
     def test_bfs_scheme_round_trip(self, store, paper_spec, paper_run):
         from repro.skeleton.skl import SkeletonLabeler
 
         labeled = SkeletonLabeler(paper_spec, "bfs").label_run(paper_run)
         run_id = store.add_labeled_run(labeled)
-        assert store.reaches(run_id, ("b", 1), ("c", 2))
-        assert not store.reaches(run_id, ("b", 1), ("c", 3))
+        session = store.session()
+        assert session.run(PointQuery(("b", 1), ("c", 2), run_id=run_id))
+        assert not session.run(PointQuery(("b", 1), ("c", 3), run_id=run_id))
 
 
 class TestStoredDataProvenance:
@@ -170,27 +172,14 @@ class TestClosedStore:
             with pytest.raises(StorageError, match="store is closed"):
                 operation()
 
-    def test_deprecated_shim_warns_at_the_callers_line(self, store, stored_run):
-        import warnings
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            store.reaches(stored_run, ("a", 1), ("h", 1))
-        shims = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(shims) == 1
-        # the warning must point at THIS file, not at the shim internals,
-        # so `-W error::DeprecationWarning` reports the user's own line
-        assert shims[0].filename == __file__
-
-
-@pytest.mark.filterwarnings("ignore:ProvenanceStore:DeprecationWarning")
 class TestFileBackedStore:
     def test_persistence_across_connections(self, tmp_path, paper_labeled_run):
         path = tmp_path / "provenance.db"
         with ProvenanceStore(path) as store:
             run_id = store.add_labeled_run(paper_labeled_run)
         with ProvenanceStore(path) as reopened:
-            assert reopened.reaches(run_id, ("a", 1), ("h", 1))
+            assert reopened.session().run(PointQuery(("a", 1), ("h", 1), run_id=run_id))
             assert reopened.list_runs()[0]["name"] == "figure-3"
 
     def test_statistics_shape(self, tmp_path):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import repro.storage.database as database_module
+from repro.api import BatchQuery, DownstreamQuery, PointQuery, UpstreamQuery
 from repro.exceptions import StorageError
 from repro.skeleton.skl import SkeletonLabeler
 from repro.storage.store import (
@@ -16,12 +17,6 @@ from repro.storage.store import (
     load_execution_labels,
 )
 from repro.workflow.run import RunVertex
-
-# The module deliberately drives the deprecated store query shims (the
-# surface under test); keep the strict-DeprecationWarning CI leg green.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:ProvenanceStore:DeprecationWarning"
-)
 
 
 @pytest.fixture()
@@ -63,15 +58,20 @@ class TestBatchSingleConsistency:
         run_id, labeled = stored_synthetic
         vertices = labeled.run.vertices()
         pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(200)]
-        single = [store.reaches(run_id, source, target) for source, target in pairs]
-        batch = store.reaches_batch(run_id, pairs)
+        session = store.session()
+        single = [
+            session.run(PointQuery(source, target, run_id=run_id))
+            for source, target in pairs
+        ]
+        batch = session.run(BatchQuery(pairs=pairs, run_id=run_id))
         assert batch == single
         # and both agree with the in-memory labeled run
         assert batch == [labeled.reaches(source, target) for source, target in pairs]
 
     def test_reaches_batch_accepts_plain_tuples(self, store, stored_run):
         pairs = [(("a", 1), ("h", 1)), (("h", 1), ("a", 1))]
-        assert store.reaches_batch(stored_run, pairs) == [True, False]
+        answers = store.session().run(BatchQuery(pairs=pairs, run_id=stored_run))
+        assert answers == [True, False]
 
     def test_labels_of_many_equals_label_of(self, store, stored_run, paper_labeled_run):
         executions = [
@@ -100,6 +100,7 @@ class TestBatchSingleConsistency:
             store.all_labels_of(99)
 
     def test_dependency_sweeps_match_labeled_run(self, store, stored_run, paper_labeled_run):
+        session = store.session()
         for vertex in paper_labeled_run.run.vertices():
             expected_down = {
                 (other.module, other.instance)
@@ -110,12 +111,14 @@ class TestBatchSingleConsistency:
                 for other in paper_labeled_run.upstream_of(vertex)
             }
             key = (vertex.module, vertex.instance)
-            assert set(store.downstream_of(stored_run, key)) == expected_down
-            assert set(store.upstream_of(stored_run, key)) == expected_up
+            down = session.run(DownstreamQuery(key, run_id=stored_run))
+            up = session.run(UpstreamQuery(key, run_id=stored_run))
+            assert set(down) == expected_down
+            assert set(up) == expected_up
 
     def test_dependency_sweep_unknown_execution_raises(self, store, stored_run):
         with pytest.raises(StorageError):
-            store.downstream_of(stored_run, ("ghost", 1))
+            store.session().run(DownstreamQuery(("ghost", 1), run_id=stored_run))
 
 
 class TestSQLRoundTrips:
@@ -126,7 +129,7 @@ class TestSQLRoundTrips:
         assert 2 * len(pairs) <= LABEL_FETCH_CHUNK  # fits one chunk by design
         counter = _StatementCounter(store._connection)
         try:
-            store.reaches_batch(run_id, pairs)
+            store._reaches_batch(run_id, pairs)
         finally:
             counter.stop()
         assert counter.count("FROM run_labels") == 1
@@ -134,7 +137,7 @@ class TestSQLRoundTrips:
     def test_per_pair_api_pays_two_selects_per_query(self, store, stored_run):
         counter = _StatementCounter(store._connection)
         try:
-            store.reaches(stored_run, ("a", 1), ("h", 1))
+            store._reaches(stored_run, ("a", 1), ("h", 1))
         finally:
             counter.stop()
         assert counter.count("FROM run_labels") == 2
@@ -142,7 +145,7 @@ class TestSQLRoundTrips:
     def test_dependency_sweep_is_one_round_trip(self, store, stored_run):
         counter = _StatementCounter(store._connection)
         try:
-            store.downstream_of(stored_run, ("a", 1))
+            store._dependency_sweep(stored_run, ("a", 1), downstream=True)
         finally:
             counter.stop()
         assert counter.count("FROM run_labels") == 1
@@ -158,7 +161,7 @@ class TestSQLRoundTrips:
         distinct = {v for pair in pairs for v in pair}
         counter = _StatementCounter(store._connection)
         try:
-            batch = store.reaches_batch(run_id, pairs)
+            batch = store._reaches_batch(run_id, pairs)
         finally:
             counter.stop()
         assert batch == [labeled.reaches(source, target) for source, target in pairs]
