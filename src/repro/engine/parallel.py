@@ -383,7 +383,7 @@ class CrossRunExecutor:
                 yield paths[index % len(paths)], chunk
 
     @staticmethod
-    def _chunks(run_ids: Sequence[int], workers: int = 1):
+    def _chunks(run_ids: Sequence[int], workers: int):
         """Chunk runs so the whole pool stays busy.
 
         The chunk size is :data:`PREFETCH_CHUNK_RUNS` capped at
