@@ -324,22 +324,29 @@ class TestWorkerDegradation:
         assert counters["worker_retry"] >= 1
         assert counters["worker_sequential"] >= 1
 
+    @pytest.mark.parametrize(
+        ("hangs", "inline_reruns"),
+        [(2, 1), (1, 0)],
+        ids=["retry-hangs-too", "retry-answers"],
+    )
     def test_hung_chunk_times_out_without_waiting_for_its_thread(
-        self, degradation_store, monkeypatch
+        self, degradation_store, monkeypatch, hangs, inline_reruns
     ):
         store, spec, anchor = degradation_store
         oracle = CrossRunExecutor(store, workers=1).sweep(spec.name, anchor)
         hung_run = int(store.list_runs(spec.name)[0]["run_id"])
         caller = threading.current_thread()
         release = threading.Event()
-        hung_threads = set()
+        hung_threads = []
         fetch = parallel._fetch_chunk_arrays
 
         def hanging_fetch(db_path, run_ids):
-            # the hung run's chunk blocks on every worker thread; only the
-            # inline fallback on the calling thread gets through
-            if hung_run in run_ids and threading.current_thread() is not caller:
-                hung_threads.add(threading.current_thread())
+            # the first *hangs* worker attempts at the hung run's chunk
+            # block; later attempts, and the inline fallback on the
+            # calling thread, get through
+            worker = threading.current_thread() is not caller
+            if hung_run in run_ids and worker and len(hung_threads) < hangs:
+                hung_threads.append(threading.current_thread())
                 release.wait()
             return fetch(db_path, run_ids)
 
@@ -360,8 +367,22 @@ class TestWorkerDegradation:
                 thread.join(5.0)
         assert degraded == oracle
         after = store.cache_stats()["degraded"]
-        for kind in ("worker_retry", "worker_sequential"):
-            assert after[kind] == before.get(kind, 0) + 1, kind
+        assert after["worker_retry"] == before.get("worker_retry", 0) + 1
+        inline = after.get("worker_sequential", 0) - before.get("worker_sequential", 0)
+        assert inline == inline_reruns
+
+    def test_crashed_pushdown_chunk_is_retried_once(self, degradation_store):
+        store, spec, anchor = degradation_store
+        executor = CrossRunExecutor(store, workers=2)
+        oracle = CrossRunExecutor(store, workers=1).sweep_pushdown(spec.name, anchor)
+        assert executor.sweep_pushdown(spec.name, anchor) == oracle
+        before = store.cache_stats()["degraded"].get("worker_retry", 0)
+        plan = FaultPlan([FaultRule("pool.task", "crash", nth=1)])
+        with plan.active():
+            degraded = executor.sweep_pushdown(spec.name, anchor)
+        assert plan.fired == {"pool.task": 1}
+        assert degraded == oracle
+        assert store.cache_stats()["degraded"]["worker_retry"] == before + 1
 
 
 # ----------------------------------------------------------------------

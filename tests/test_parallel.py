@@ -10,8 +10,12 @@ SQL statement probe), and the CLI surface (``sweep --workers``,
 
 from __future__ import annotations
 
+import threading
+from types import SimpleNamespace
+
 import pytest
 
+import repro.engine.parallel as parallel
 from repro.api import (
     BatchQuery,
     CrossRunBatchQuery,
@@ -25,6 +29,8 @@ from repro.engine.parallel import (
     PARALLEL_MIN_RUNS,
     PREFETCH_CHUNK_RUNS,
     CrossRunExecutor,
+    _decode_affected,
+    _pack_affected,
     resolve_workers,
 )
 from repro.exceptions import QueryPlanError, StorageError
@@ -75,8 +81,6 @@ class TestResolveWorkers:
         assert resolve_workers(None, 0) == 1
 
     def test_auto_sized_from_cpu_count(self, monkeypatch):
-        import repro.engine.parallel as parallel
-
         # sized from the CPUs the process may use, not the host's count:
         # a server pinned to one CPU takes the sequential path
         def usable(count):
@@ -92,6 +96,97 @@ class TestResolveWorkers:
         # a single core never pays for a pool
         monkeypatch.setattr(parallel.os, "sched_getaffinity", usable(1))
         assert resolve_workers(None, 100) == 1
+
+
+class TestWorkerTimeout:
+    @pytest.mark.parametrize(
+        ("raw", "expected"),
+        [(None, None), ("0.25", 0.25), (" 2 ", 2.0), ("0", None), ("-1", None)],
+        ids=["unset", "fraction", "padded", "zero", "negative"],
+    )
+    def test_timeout_read_from_environment(self, monkeypatch, raw, expected):
+        # unset, zero and negative all mean "wait for the chunk forever"
+        monkeypatch.delenv("REPRO_WORKER_TIMEOUT", raising=False)
+        if raw is not None:
+            monkeypatch.setenv("REPRO_WORKER_TIMEOUT", raw)
+        assert parallel._worker_timeout() == expected
+
+    def test_malformed_timeout_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "soon")
+        with pytest.raises(QueryPlanError, match="REPRO_WORKER_TIMEOUT"):
+            parallel._worker_timeout()
+
+    def test_malformed_timeout_fails_only_the_parallel_path(
+        self, parallel_store, anchor, monkeypatch
+    ):
+        store, _, spec = parallel_store
+        expected = CrossRunExecutor(store, workers=1).sweep(spec.name, anchor)
+        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "soon")
+        # the sequential path waits on no future, so it never reads the knob
+        assert CrossRunExecutor(store, workers=1).sweep(spec.name, anchor) == expected
+        with pytest.raises(QueryPlanError, match="REPRO_WORKER_TIMEOUT"):
+            CrossRunExecutor(store, workers=2).sweep(spec.name, anchor)
+
+
+class TestPackedResults:
+    @pytest.mark.parametrize(
+        ("executions", "positions"),
+        [
+            ([("a", 1), ("b", 1), ("a", 2), ("c", 7)], [0, 2, 3]),
+            ([("a", 1), ("b", 1)], []),
+            ([("wide", 2**40 + 3), ("wide", 1)], [0, 1]),  # past 32 bits
+        ],
+        ids=["subset", "empty", "int64"],
+    )
+    def test_round_trip_keeps_the_selected_rows_in_order(self, executions, positions):
+        packed = _pack_affected(executions, positions)
+        assert _decode_affected(packed) == [executions[p] for p in positions]
+
+    def test_module_dictionary_holds_each_module_once(self):
+        executions = [("a", 1), ("b", 1), ("a", 2), ("c", 7), ("b", 3)]
+        modules, index_bytes, instance_bytes = _pack_affected(executions, range(5))
+        assert modules == ("a", "b", "c")  # first-seen order
+        # one int64 per selected row in each column
+        assert len(index_bytes) == len(instance_bytes) == 8 * 5
+
+
+class TestChunking:
+    @pytest.mark.parametrize(
+        ("run_count", "workers", "sizes"),
+        [
+            (12, 2, [4, 4, 4]),  # capped at PREFETCH_CHUNK_RUNS
+            (6, 3, [2, 2, 2]),  # shrunk so every worker gets a chunk
+            (5, 2, [3, 2]),
+            (3, 8, [1, 1, 1]),  # never an empty chunk
+            (0, 2, []),
+        ],
+    )
+    def test_chunk_sizes(self, run_count, workers, sizes):
+        run_ids = list(range(100, 100 + run_count))
+        chunks = list(CrossRunExecutor._chunks(run_ids, workers))
+        assert [len(chunk) for chunk in chunks] == sizes
+        assert max(sizes, default=0) <= PREFETCH_CHUNK_RUNS
+        # every run exactly once, in the order given
+        assert [run_id for chunk in chunks for run_id in chunk] == run_ids
+
+    def test_single_file_store_is_one_path_group(self, parallel_store):
+        store, run_ids, _ = parallel_store
+        executor = CrossRunExecutor(store, workers=2)
+        assert executor._path_groups(run_ids) == [(str(store.path), run_ids)]
+
+    @pytest.mark.parametrize(
+        ("rotation", "paths"),
+        [(["p.db", "r1.db", "r2.db"], ["p.db", "r1.db", "r2.db", "p.db"]),
+         ([], ["p.db"] * 4)],  # no fresh replica: every chunk reads the primary
+        ids=["replicas", "primary-only"],
+    )
+    def test_replica_rotation_is_round_robined_over_chunks(self, rotation, paths):
+        store = SimpleNamespace(path="p.db", replica_rotation=lambda path: rotation)
+        fanned = list(CrossRunExecutor(store)._fan_chunks(list(range(16)), 4))
+        assert [path for path, _ in fanned] == paths
+        assert [chunk for _, chunk in fanned] == [
+            list(range(start, start + 4)) for start in (0, 4, 8, 12)
+        ]
 
 
 class TestExecutorModes:
@@ -175,10 +270,6 @@ class TestPerCallThreads:
     def test_each_parallel_sweep_opens_and_ends_its_own_threads(
         self, parallel_store, anchor, monkeypatch
     ):
-        import threading
-
-        import repro.engine.parallel as parallel
-
         store, _, spec = parallel_store
         opened = []
         open_pool = parallel.ThreadPoolExecutor
@@ -208,6 +299,61 @@ class TestPerCallThreads:
         assert fetchers and threading.current_thread() not in fetchers
         assert not any(thread.is_alive() for thread in fetchers)
         assert set(threading.enumerate()) <= before
+
+    def test_sequential_paths_start_no_thread(
+        self, parallel_store, anchor, paper_spec, paper_run, monkeypatch
+    ):
+        store, _, spec = parallel_store
+        # None is not callable: any pool start would fail the test
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", None)
+        CrossRunExecutor(store, workers=1).sweep(spec.name, anchor)
+        # batches never fan out, whatever their worker count
+        CrossRunExecutor(store, workers=3).batch(spec.name, [(("a", 1), ("h", 1))])
+        # auto-sizing on one usable CPU stays on the calling thread
+        monkeypatch.setattr(
+            parallel.os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        CrossRunExecutor(store).sweep(spec.name, anchor)
+        labeled = SkeletonLabeler(paper_spec, "tcm").label_run(paper_run)
+        with ProvenanceStore() as memory:
+            memory.add_labeled_run(labeled)
+            CrossRunExecutor(memory, workers=8).sweep(paper_spec.name, ("a", 1))
+
+    def test_pool_shutdown_waits_when_no_chunk_timed_out(
+        self, parallel_store, anchor, monkeypatch
+    ):
+        store, _, spec = parallel_store
+        shutdowns = []
+
+        class RecordingPool(parallel.ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append((wait, cancel_futures))
+                super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "30")
+        CrossRunExecutor(store, workers=2).sweep(spec.name, anchor)
+        # a bounded wait that never expired still joins every pool thread
+        assert shutdowns == [(True, False)]
+
+    def test_failing_chunk_propagates_and_ends_its_pool(
+        self, parallel_store, anchor, monkeypatch
+    ):
+        store, _, spec = parallel_store
+
+        def broken_fetch(db_path, run_ids):
+            raise ValueError("kernel bug")
+
+        monkeypatch.setattr(parallel, "_fetch_chunk_arrays", broken_fetch)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        before_threads = set(threading.enumerate())
+        before = dict(store.cache_stats()["degraded"])
+        # not a _RETRYABLE error: no retry, no inline rerun, no counter
+        with pytest.raises(ValueError, match="kernel bug"):
+            CrossRunExecutor(store, workers=2).sweep(spec.name, anchor)
+        assert store.cache_stats()["degraded"] == before
+        assert set(threading.enumerate()) <= before_threads
 
 
 class TestChunkedPrefetch:

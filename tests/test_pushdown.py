@@ -295,6 +295,27 @@ class TestCrossRunPlanner:
                 assert sql.per_run == kernel.per_run
                 assert sorted(sql.skipped_runs) == sorted(kernel.skipped_runs)
 
+    def test_parallel_scans_match_sequential_and_end_their_threads(
+        self, store, spec, labeled_runs, monkeypatch
+    ):
+        import threading
+
+        from repro.engine.parallel import CrossRunExecutor
+
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        before = set(threading.enumerate())
+        for vertex in labeled_runs[0].run.vertices()[:4]:
+            args = (spec.name, (vertex.module, vertex.instance))
+            for direction in ("downstream", "upstream"):
+                sequential = CrossRunExecutor(store, workers=1)
+                want = sequential.sweep_pushdown(*args, direction)
+                for workers in (2, 3):
+                    executor = CrossRunExecutor(store, workers=workers)
+                    assert executor.sweep_pushdown(*args, direction) == want
+                    # the scans and the streamed kernel agree on every path
+                    assert executor.sweep(*args, direction) == want
+        assert set(threading.enumerate()) <= before
+
     def test_anchor_missing_everywhere_skips_all_runs(self, store, spec, labeled_runs):
         session = ProvenanceSession(store)
         anchor = (labeled_runs[0].run.vertices()[0].module, 999)

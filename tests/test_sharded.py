@@ -23,6 +23,7 @@ from repro.api import (
     ProvenanceSession,
     UpstreamQuery,
 )
+from repro.datasets.synthetic import SyntheticSpecConfig, generate_specification
 from repro.engine.parallel import CrossRunExecutor
 from repro.exceptions import StorageError
 from repro.provenance.data import DataFlow
@@ -56,6 +57,27 @@ def labeled_batch(paper_spec, paper_labeler, paper_run):
             paper_spec, 20, seed=seed, name=f"shard-{seed}"
         )
         labeled.append(paper_labeler.label_run(generated.run))
+    return labeled
+
+
+def _synthetic_labeled_runs(
+    prefix, count, *, modules=12, edges=16, hierarchy=3, seed=0, size=15
+):
+    """One tcm-labeled run of each of *count* small synthetic specifications."""
+    labeled = []
+    for i in range(count):
+        spec = generate_specification(
+            SyntheticSpecConfig(
+                n_modules=modules,
+                n_edges=edges,
+                hierarchy_size=hierarchy,
+                hierarchy_depth=2,
+                name=f"{prefix}-{i}",
+                seed=seed + i,
+            )
+        )
+        run = generate_run_with_size(spec, size, seed=i, name="r").run
+        labeled.append(SkeletonLabeler(spec, "tcm").label_run(run))
     return labeled
 
 
@@ -152,27 +174,9 @@ class TestIngest:
         assert sharded_store.statistics() == before
 
     def test_multi_spec_batch_spreads_and_answers(self, tmp_path, monkeypatch):
-        from repro.datasets.synthetic import SyntheticSpecConfig, generate_specification
-
-        specs = [
-            generate_specification(
-                SyntheticSpecConfig(
-                    n_modules=20,
-                    n_edges=30,
-                    hierarchy_size=3,
-                    hierarchy_depth=2,
-                    name=f"multi-{i}",
-                    seed=20 + i,
-                )
-            )
-            for i in range(6)
-        ]
-        labeled = [
-            SkeletonLabeler(spec, "tcm").label_run(
-                generate_run_with_size(spec, 25, seed=i, name="r").run
-            )
-            for i, spec in enumerate(specs)
-        ]
+        labeled = _synthetic_labeled_runs(
+            "multi", 6, modules=20, edges=30, seed=20, size=25
+        )
         ingest = ShardedProvenanceStore._ingest_shard_batch
         committers = set()
 
@@ -196,6 +200,50 @@ class TestIngest:
             assert set(threading.enumerate()) <= before
             for run_id, item in zip(ids, labeled):
                 assert store.all_labels_of(run_id) == item.labels()
+
+    def test_single_shard_batch_commits_inline(
+        self, sharded_store, labeled_batch, monkeypatch
+    ):
+        import repro.storage.sharded as sharded_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single-shard batch opened a thread pool")
+
+        ingest = ShardedProvenanceStore._ingest_shard_batch
+        committers = []
+
+        def recording_ingest(self, shard, batch):
+            committers.append(threading.current_thread())
+            return ingest(self, shard, batch)
+
+        monkeypatch.setattr(sharded_module, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(
+            ShardedProvenanceStore, "_ingest_shard_batch", recording_ingest
+        )
+        # every run of the batch shares one spec, hence one shard
+        ids = sharded_store.add_labeled_runs(labeled_batch)
+        assert len(ids) == len(labeled_batch)
+        assert committers == [threading.current_thread()]
+
+    def test_failing_shard_keeps_the_other_shards_commits(
+        self, sharded_store, labeled_batch, paper_spec
+    ):
+        paper_shard = shard_of_spec(paper_spec.name, 4)
+        fresh = next(
+            item
+            for item in _synthetic_labeled_runs("other", 4)
+            if shard_of_spec(item.run.specification.name, 4) != paper_shard
+        )
+        sharded_store.add_labeled_run(labeled_batch[0])
+        before = set(threading.enumerate())
+        # the paper shard's sub-batch repeats a stored run and rolls back;
+        # the other shard's commit stands, and the error surfaces only
+        # after both tasks finished on a pool that ended with the call
+        with pytest.raises(StorageError):
+            sharded_store.add_labeled_runs([fresh, *labeled_batch])
+        assert set(threading.enumerate()) <= before
+        assert len(sharded_store.list_runs(fresh.run.specification.name)) == 1
+        assert len(sharded_store.list_runs(paper_spec.name)) == 1
 
     def test_add_specification_idempotent(self, sharded_store, paper_spec):
         first = sharded_store.add_specification(paper_spec)
@@ -354,27 +402,9 @@ class TestCacheStatsAndSession:
         assert stats["promoted_runs"] == [ids[0]]
 
     def test_run_label_arrays_many_across_shards(self, tmp_path):
-        from repro.datasets.synthetic import SyntheticSpecConfig, generate_specification
-
-        specs = [
-            generate_specification(
-                SyntheticSpecConfig(
-                    n_modules=15,
-                    n_edges=20,
-                    hierarchy_size=2,
-                    hierarchy_depth=2,
-                    name=f"arrays-{i}",
-                    seed=40 + i,
-                )
-            )
-            for i in range(4)
-        ]
-        labeled = [
-            SkeletonLabeler(spec, "tcm").label_run(
-                generate_run_with_size(spec, 18, seed=i, name="r").run
-            )
-            for i, spec in enumerate(specs)
-        ]
+        labeled = _synthetic_labeled_runs(
+            "arrays", 4, modules=15, edges=20, hierarchy=2, seed=40, size=18
+        )
         with ShardedProvenanceStore(tmp_path / "arrays", 3) as store:
             ids = store.add_labeled_runs(labeled)
             arrays = store.run_label_arrays_many(ids)
@@ -594,6 +624,19 @@ class TestReviewRegressions:
         # 12 runs in 3 chunks at workers=2: never more than 2 chunks at once
         assert 1 <= most[0] <= 2
         store.close()
+
+    def test_worker_chunks_group_runs_by_shard_file(self, tmp_path, labeled_batch):
+        labeled = _synthetic_labeled_runs("group", 6) + labeled_batch
+        with ShardedProvenanceStore(tmp_path / "groups", 4) as store:
+            run_ids = store.add_labeled_runs(labeled)
+            groups = CrossRunExecutor(store, workers=2)._path_groups(run_ids)
+            paths = [path for path, _ in groups]
+            assert len(paths) == len(set(paths)) > 1
+            # each group names the one file every run in it lives in, and
+            # together the groups hold every run once
+            for path, group_runs in groups:
+                assert {str(store.shard_path_of(r)) for r in group_runs} == {path}
+            assert sorted(r for _, group in groups for r in group) == sorted(run_ids)
 
     def test_open_store_refuses_unrelated_directories(self, tmp_path):
         plain_dir = tmp_path / "not-a-store"
