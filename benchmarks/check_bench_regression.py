@@ -53,9 +53,6 @@ _IDENTITY_KEYS = (
     "vertices",
     "updates",
     "faults",
-    "hot_runs",
-    "replicas",
-    "rebalanced",
 )
 
 

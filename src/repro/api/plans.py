@@ -283,21 +283,7 @@ class _CrossRunPlanBase(QueryPlan):
             )
         # compiled once with the plan: re-executions reuse the executor and
         # its worker setting (a parallel sweep opens its threads per call)
-        workers = query.workers
-        if workers is None:
-            # replica awareness: a spec whose shard carries attached read
-            # replicas can serve one worker connection per file, so the
-            # fan width floors the auto worker count — the auto sizing
-            # would otherwise stay sequential on small hosts and leave
-            # the replica set idle
-            fan_of = getattr(target.store, "read_fan_of", None)
-            if fan_of is not None:
-                fan = fan_of(query.specification)
-                if fan > 1:
-                    from repro.engine.parallel import MAX_AUTO_WORKERS
-
-                    workers = min(fan, MAX_AUTO_WORKERS)
-        self._executor = CrossRunExecutor(target.store, workers=workers)
+        self._executor = CrossRunExecutor(target.store, workers=query.workers)
 
 
 class _CrossRunPlan(_CrossRunPlanBase):

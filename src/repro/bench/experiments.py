@@ -69,7 +69,6 @@ __all__ = [
     "throughput_cross_run",
     "throughput_parallel_cross_run",
     "throughput_sharded_ingest",
-    "throughput_shard_rebalance",
     "throughput_server",
     "throughput_sql_pushdown",
     "throughput_incremental_updates",
@@ -1509,282 +1508,6 @@ def throughput_sharded_ingest(
     )
 
 
-#: rebalance workload per scale: (hot runs, cold runs, churn runs,
-#: delete/re-ingest passes over the churn runs, vertices per run, shards,
-#: timed sweeps per leg)
-_SHARD_REBALANCE_SETTINGS = {
-    "smoke": (16, 2, 2, 4, 400, 4, 6),
-    "default": (32, 4, 4, 6, 2_000, 4, 10),
-    "paper": (48, 6, 6, 8, 6_000, 8, 12),
-}
-
-
-def _colliding_spec_name(prefix: str, shard: int, shards: int) -> str:
-    """A deterministic spec name the CRC-32 hash places on *shard*."""
-    from repro.storage.sharded import shard_of_spec as _shard_of_spec
-
-    for index in range(10_000):
-        candidate = f"{prefix}-{index}"
-        if _shard_of_spec(candidate, shards) == shard:
-            return candidate
-    raise ReproError(
-        f"no {prefix!r} candidate hashes onto shard {shard}"
-    )  # pragma: no cover - 10k candidates over <= 64 shards cannot all miss
-
-
-def throughput_shard_rebalance(
-    scale: str | BenchScale = "default", *, seed: int = 0
-) -> ExperimentResult:
-    """Hot-spec sweeps before vs after ``rebalance`` + ``replicate``.
-
-    The skewed workload the routing subsystem exists for: one **hot**
-    specification owns ~80% of the stored runs and shares its shard with
-    a **cold** specification whose ingest keeps churning.  A long-lived
-    reader snapshot pins the shared shard's WAL (auto-checkpoint cannot
-    pass a live reader), so every pre-rebalance sweep resolves its pages
-    through a churn-sized WAL over a b-tree interleaved with the cold
-    spec's rows.
-
-    The maintenance path then moves the hot spec onto the least-loaded
-    shard (``rebalance`` checkpoints both shards) and attaches two read
-    replicas (journal-less snapshot files the cross-run executor
-    round-robins its workers over).  The post legs re-run the same
-    sweeps.  Before any number is reported:
-
-    * the hot and cold sweeps are verified **bit-identical** to a
-      never-rebalanced single-file store holding the same runs —
-      before the migration, after a *crash-injected* migration attempt
-      (the ``routing.migrate`` fault point kills it between copy and
-      flip, exercising in-process recovery), and after the real
-      rebalance + replication;
-    * a second store is opened mid-journal (simulated hard crash) in the
-      chaos tests, not here — this experiment measures the happy path.
-
-    Wall-clock replica wins need real cores; single-core hosts keep the
-    checkpointed-shard and clustering wins, so CI gates the smoke scale
-    with a thinner bar (see ``benchmarks/bench_throughput_shard_rebalance.py``).
-    """
-    import sqlite3 as _sqlite3
-    import tempfile
-    from pathlib import Path as _Path
-
-    from repro.engine.parallel import CrossRunExecutor
-    from repro.exceptions import ReproError as _ReproError
-    from repro.faults import FaultPlan, FaultRule
-    from repro.storage.sharded import ShardedProvenanceStore, shard_of_spec
-    from repro.storage.store import ProvenanceStore
-
-    preset = get_scale(scale)
-    hot_runs, cold_runs, churn_runs, churn_passes, run_size, shards, sweeps = (
-        _SHARD_REBALANCE_SETTINGS.get(
-            preset.name, _SHARD_REBALANCE_SETTINGS["smoke"]
-        )
-    )
-    hot_name = "rebalance-hot"
-    hot_shard = shard_of_spec(hot_name, shards)
-    # the cold spec is chosen to collide with the hot one, so its churn
-    # lands in the shard the hot sweeps read
-    cold_name = _colliding_spec_name("rebalance-cold", hot_shard, shards)
-    specs = {
-        name: generate_specification(
-            SyntheticSpecConfig(
-                n_modules=60,
-                n_edges=120,
-                hierarchy_size=8,
-                hierarchy_depth=3,
-                name=name,
-                seed=200 + index,
-            )
-        )
-        for index, name in enumerate((hot_name, cold_name))
-    }
-    labelers = {name: SkeletonLabeler(spec, "tcm") for name, spec in specs.items()}
-    hot_labeled = [
-        labelers[hot_name].label_run(
-            generate_run_with_size(
-                specs[hot_name], run_size, seed=seed + index, name=f"hot-{index}"
-            ).run
-        )
-        for index in range(hot_runs)
-    ]
-    cold_labeled = [
-        labelers[cold_name].label_run(
-            generate_run_with_size(
-                specs[cold_name], run_size, seed=seed + index, name=f"cold-{index}"
-            ).run
-        )
-        for index in range(cold_runs)
-    ]
-    churn_labeled = [
-        labelers[cold_name].label_run(
-            generate_run_with_size(
-                specs[cold_name], run_size, seed=seed + 1_000 + index,
-                name=f"churn-{index}",
-            ).run
-        )
-        for index in range(churn_runs)
-    ]
-    anchors = {}
-    for name, spec in specs.items():
-        anchors[name] = (
-            min(
-                (v for v in spec.graph.vertices() if not spec.graph.predecessors(v)),
-                default=spec.graph.vertices()[0],
-            ),
-            1,
-        )
-
-    base_dir = _Path(tempfile.mkdtemp(prefix="repro-shard-rebalance-"))
-    # the never-rebalanced reference: one SQLite file, same runs, same order
-    reference = ProvenanceStore(base_dir / "reference.db")
-    for item in [*hot_labeled, *cold_labeled, *churn_labeled]:
-        reference.add_labeled_run(item)
-    reference_answers = {
-        name: CrossRunExecutor(reference, workers=1).sweep(name, anchors[name])
-        for name in specs
-    }
-    reference.close()
-
-    store = ShardedProvenanceStore(base_dir / "sharded", shards)
-    store.add_labeled_runs([*hot_labeled, *cold_labeled])
-    executor = CrossRunExecutor(store, workers=2)
-
-    def verify(stage: str) -> None:
-        for name in specs:
-            per_run, skipped = executor.sweep(name, anchors[name])
-            ref_per_run, ref_skipped = reference_answers[name]
-            if (
-                list(per_run.values()) != list(ref_per_run.values())
-                or len(skipped) != len(ref_skipped)
-            ):
-                raise ReproError(
-                    f"{stage}: sharded sweep of {name!r} disagrees with the "
-                    "never-rebalanced single-file store"
-                )
-
-    def timed_sweeps() -> float:
-        """Best-of-3 timing of one *sweeps*-deep hot-spec sweep leg."""
-        best = float("inf")
-        for _ in range(3):
-            started = time.perf_counter()
-            for _ in range(sweeps):
-                executor.sweep(hot_name, anchors[hot_name])
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    # pin a reader snapshot on the shared shard, then churn: the WAL the
-    # pre-rebalance sweeps must resolve through cannot checkpoint past it
-    pin = _sqlite3.connect(str(store._shard_paths[hot_shard]))
-    try:
-        pin.execute("BEGIN")
-        pin.execute("SELECT COUNT(*) FROM runs").fetchone()
-        churn_ids = store.add_labeled_runs(churn_labeled)
-        # churn passes: each deletes and re-ingests the cold spec's churn
-        # runs (full row rewrites — a same-content update_run_labels is a
-        # delta no-op), growing the pinned WAL the pre-rebalance sweeps
-        # must resolve their pages through
-        for _ in range(churn_passes):
-            for index, item in enumerate(churn_labeled):
-                store.delete_run(churn_ids[index])
-                churn_ids[index] = store.add_labeled_runs([item])[0]
-        verify("pre-rebalance")
-        executor.sweep(hot_name, anchors[hot_name])  # warm the kernels
-        pre_seconds = timed_sweeps()
-
-        # a crash-injected migration attempt: killed between copy and flip,
-        # recovered in process — answers must not wobble
-        crash = FaultPlan([FaultRule("routing.migrate", "crash", once=True)])
-        try:
-            with crash.active():
-                store.rebalance(hot_name)
-            raise ReproError(
-                "the injected routing.migrate crash did not fire"
-            )  # pragma: no cover - the rule always fires once
-        except _ReproError:
-            pass
-        if store._routed_shard_of_spec(hot_name) != hot_shard:
-            raise ReproError(
-                "the crashed migration left a routing override behind"
-            )  # pragma: no cover - recovery rolls the catalog back
-        verify("mid-migration-crash")
-
-        summary = store.rebalance(hot_name)
-        replicas = store.replicate(hot_name, 2)
-        verify("post-rebalance")
-        executor.sweep(hot_name, anchors[hot_name])  # re-warm on the new shard
-        post_seconds = timed_sweeps()
-    finally:
-        pin.close()
-    verify("final")
-    skew = store.cache_stats()["shards"]
-    store.close()
-
-    per_sweep_pre = pre_seconds / sweeps
-    per_sweep_post = post_seconds / sweeps
-    rows = [
-        {
-            "workload": "sweep-hot-spec",
-            "mode": "thread",
-            "shards": shards,
-            "runs": hot_runs + cold_runs + churn_runs,
-            "hot_runs": hot_runs,
-            "vertices_per_run": run_size,
-            "workers": 2,
-            "repeats": sweeps,
-            "rebalanced": True,
-            "replicas": len(replicas),
-            "moved_runs": summary["moved_runs"],
-            "baseline_ms": round(per_sweep_pre * 1e3, 3),
-            "optimized_ms": round(per_sweep_post * 1e3, 3),
-            "sweeps_per_s": round(1.0 / per_sweep_post, 2)
-            if per_sweep_post > 0
-            else None,
-            "speedup": round(pre_seconds / post_seconds, 2)
-            if post_seconds > 0
-            else None,
-        }
-    ]
-    return ExperimentResult(
-        experiment_id="throughput-shard-rebalance",
-        title="Hot-spec sweeps before vs after rebalance + read replicas",
-        rows=rows,
-        columns=[
-            "workload",
-            "mode",
-            "shards",
-            "runs",
-            "hot_runs",
-            "vertices_per_run",
-            "workers",
-            "repeats",
-            "rebalanced",
-            "replicas",
-            "moved_runs",
-            "baseline_ms",
-            "optimized_ms",
-            "sweeps_per_s",
-            "speedup",
-        ],
-        notes=[
-            "skewed workload: the hot spec owns "
-            f"{hot_runs}/{hot_runs + cold_runs + churn_runs} runs and shares "
-            "its shard with the churning cold spec; a pinned reader snapshot "
-            "keeps the shared shard's WAL from checkpointing",
-            "baseline leg: cross-run sweeps against the shared shard "
-            "(churn-sized WAL, interleaved b-tree); optimized leg: the same "
-            "sweeps after rebalance (dedicated checkpointed shard) + 2 read "
-            "replicas the executor round-robins its workers over",
-            "answers are verified bit-identical to a never-rebalanced "
-            "single-file store before the migration, after a crash-injected "
-            "migration attempt (routing.migrate, recovered in process) and "
-            "after the real rebalance + replication",
-            "replica fan-out needs real cores; single-core hosts keep the "
-            "checkpointed-shard and clustering wins and gate thinner",
-            f"scale={preset.name}; cpu_count={os.cpu_count()}",
-        ],
-    )
-
-
 #: server workload per scale: (runs, vertices per run, replay pairs,
 #: reader clients, requests per reader, writer ingest runs)
 _SERVER_SETTINGS = {
@@ -2500,7 +2223,6 @@ def all_experiments(scale: str | BenchScale = "default", *, seed: int = 0) -> li
         throughput_cross_run(scale, seed=seed),
         throughput_parallel_cross_run(scale, seed=seed),
         throughput_sharded_ingest(scale, seed=seed),
-        throughput_shard_rebalance(scale, seed=seed),
         throughput_server(scale, seed=seed),
         throughput_sql_pushdown(scale, seed=seed),
         throughput_incremental_updates(scale, seed=seed),

@@ -44,7 +44,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.api.plans import HANDLE_PATH_MIN_PAIRS as _HANDLE_PATH_MIN_PAIRS
 from repro.api.queries import (
@@ -298,51 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats_parser.add_argument(
         "--json", action="store_true", help="emit the raw statistics as JSON"
-    )
-
-    rebalance_parser = subparsers.add_parser(
-        "rebalance",
-        help="migrate a hot specification's runs onto their own shard "
-        "(online; readers keep answering throughout)",
-    )
-    rebalance_parser.add_argument(
-        "--database",
-        required=True,
-        help="sharded database directory, or a repro://host:port/ URL",
-    )
-    rebalance_parser.add_argument("--spec", required=True, help="specification name")
-    rebalance_parser.add_argument(
-        "--shard",
-        type=int,
-        default=None,
-        help="target shard index (default: the least-loaded shard)",
-    )
-
-    replicate_parser = subparsers.add_parser(
-        "replicate",
-        help="attach read replicas of a hot specification's owning shard",
-    )
-    replicate_parser.add_argument(
-        "--database",
-        required=True,
-        help="sharded database directory, or a repro://host:port/ URL",
-    )
-    replicate_parser.add_argument("--spec", required=True, help="specification name")
-    replicate_parser.add_argument(
-        "--copies", type=int, default=1, help="replica count (default 1)"
-    )
-
-    routing_parser = subparsers.add_parser(
-        "routing",
-        help="show the shard routing table (overrides, routed runs, replicas)",
-    )
-    routing_parser.add_argument(
-        "--database",
-        required=True,
-        help="sharded database directory, or a repro://host:port/ URL",
-    )
-    routing_parser.add_argument(
-        "--json", action="store_true", help="emit the raw table as JSON"
     )
 
     verify_parser = subparsers.add_parser(
@@ -775,21 +730,11 @@ def _command_health(args: argparse.Namespace) -> int:
     return 0 if report.get("status") == "ok" else 1
 
 
-def _require_routing(store: Any, command: str) -> None:
-    """Routing maintenance needs a sharded store (local or via server)."""
-    if not hasattr(store, "rebalance"):
-        raise ReproError(
-            f"{command} needs a sharded database; "
-            f"{getattr(store, 'path', store)!r} is a single SQLite file"
-        )
-
-
 def _print_skew_table(shards: dict) -> None:
     """Render ``cache_stats()['shards']`` as the operator's skew table."""
     header = (
         f"{'shard':>5}  {'file':<14} {'specs':>5} {'runs':>6} "
-        f"{'file_bytes':>11} {'sweeps sql':>10} {'kernel':>6} "
-        f"{'replicas':>8} {'routed':>6}"
+        f"{'file_bytes':>11} {'sweeps sql':>10} {'kernel':>6}"
     )
     print(header)
     for row in shards.get("per_shard", []):
@@ -797,8 +742,7 @@ def _print_skew_table(shards: dict) -> None:
         print(
             f"{row['shard']:>5}  {row['file']:<14} {row['specs']:>5} "
             f"{row['runs']:>6} {row['file_bytes']:>11} "
-            f"{sweeps.get('sql', 0):>10} {sweeps.get('kernel', 0):>6} "
-            f"{row['replicas']:>8} {row['routed_specs']:>6}"
+            f"{sweeps.get('sql', 0):>10} {sweeps.get('kernel', 0):>6}"
         )
 
 
@@ -823,58 +767,6 @@ def _command_stats(args: argparse.Namespace) -> int:
         if isinstance(value, (dict, list)):
             value = json.dumps(value, sort_keys=True, default=str)
         print(f"  {key}: {value}")
-    return 0
-
-
-def _command_rebalance(args: argparse.Namespace) -> int:
-    with _open_database(args.database) as store:
-        _require_routing(store, "rebalance")
-        summary = store.rebalance(args.spec, args.shard)
-    print(
-        f"moved {summary['moved_runs']} runs of {summary['specification']!r} "
-        f"from shard {summary['source']} to shard {summary['target']}"
-    )
-    return 0
-
-
-def _command_replicate(args: argparse.Namespace) -> int:
-    with _open_database(args.database) as store:
-        _require_routing(store, "replicate")
-        replicas = store.replicate(args.spec, args.copies)
-    print(f"attached {len(replicas)} replica(s) for {args.spec!r}:")
-    for path in replicas:
-        print(f"  {path}")
-    return 0
-
-
-def _command_routing(args: argparse.Namespace) -> int:
-    import json
-
-    with _open_database(args.database) as store:
-        _require_routing(store, "routing")
-        table = store.routing_table()
-    if args.json:
-        print(json.dumps(table, indent=2, sort_keys=True))
-        return 0
-    print(f"{args.database}: {table['shards']} shards")
-    specs = table.get("specs", {})
-    if specs:
-        print("routed specifications:")
-        for name in sorted(specs):
-            entry = specs[name]
-            note = (
-                ""
-                if entry["shard"] == entry["hash_shard"]
-                else f" (hash would place it on {entry['hash_shard']})"
-            )
-            print(f"  {name}: shard {entry['shard']}{note}")
-    else:
-        print("routed specifications: (none — every spec is hash-placed)")
-    print(f"routed runs: {table.get('routed_runs', 0)}")
-    replicas = table.get("replicas", {})
-    if replicas:
-        for shard in sorted(replicas, key=int):
-            print(f"replicas of shard {shard}: {replicas[shard]}")
     return 0
 
 
@@ -937,9 +829,6 @@ _COMMANDS = {
     "serve": _command_serve,
     "health": _command_health,
     "stats": _command_stats,
-    "rebalance": _command_rebalance,
-    "replicate": _command_replicate,
-    "routing": _command_routing,
     "verify": _command_verify,
     "info": _command_info,
     "experiments": _command_experiments,

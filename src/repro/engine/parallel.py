@@ -18,11 +18,11 @@ through the shared kernel:
   step loop and numpy's ufuncs release the GIL, so fetch and kernel work
   overlap.  Starting four threads costs ~0.2 ms on a 2-CPU host, against
   the 30-70 ms such a sweep takes, so no pool outlives its call;
-* chunking is **shard-aware**: when the store routes runs across shard
+* chunking is **shard-aware**: when the store spreads runs across shard
   files (:class:`~repro.storage.sharded.ShardedProvenanceStore` exposes
-  ``shard_path_of``), runs are grouped by their physical file first, so
-  each worker connection opens exactly the one shard file its chunk lives
-  in;
+  ``shard_path_of``, a pure function of the run id), runs are grouped by
+  their physical file first, so each worker connection opens exactly the
+  one shard file its chunk lives in;
 * workers return **packed** results — affected sweep rows as
   module-dictionary + two int64 columns — decoded once at the API boundary
   (:meth:`CrossRunExecutor._split_outcomes`).
@@ -360,27 +360,10 @@ class CrossRunExecutor:
         return list(groups.items())
 
     def _fan_chunks(self, run_ids, workers: int):
-        """``(db_path, chunk)`` pairs with hot-spec replica fan-out.
-
-        When the store attaches read replicas to a shard
-        (:meth:`~repro.storage.sharded.ShardedProvenanceStore.replicate`),
-        its rotation — ``[primary] + fresh replicas`` — is round-robined
-        across that shard's chunks, so concurrent worker connections stop
-        queueing on one file (and one WAL).  A store without the hook, or
-        with a stale/absent replica set, degenerates to the primary path
-        for every chunk.  Replicas are consistent snapshots refreshed by
-        the store's write-version handshake, so every path in a rotation
-        answers bit-identically.
-        """
-        rotation_of = getattr(self.store, "replica_rotation", None)
+        """``(db_path, chunk)`` pairs: each chunk reads its own shard file."""
         for db_path, path_runs in self._path_groups(run_ids):
-            paths = [db_path]
-            if rotation_of is not None:
-                rotation = rotation_of(db_path)
-                if rotation:
-                    paths = list(rotation)
-            for index, chunk in enumerate(self._chunks(path_runs, workers)):
-                yield paths[index % len(paths)], chunk
+            for chunk in self._chunks(path_runs, workers):
+                yield db_path, chunk
 
     @staticmethod
     def _chunks(run_ids: Sequence[int], workers: int):

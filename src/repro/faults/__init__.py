@@ -18,8 +18,6 @@ point                      where it fires
                            (:func:`repro.storage.store.load_execution_labels`)
 ``pool.task``              inside every cross-run chunk task (worker side)
 ``pushdown.sql``           :func:`repro.storage.pushdown.pushdown_sweep`
-``routing.migrate``        :func:`repro.storage.routing.migrate_spec`, between
-                           the copy commit and the routing flip
 ``server.read``            the daemon's frame-reader coroutine
 ``server.write``           the daemon's frame-writer
 ``client.send``            :class:`~repro.server.client.RemoteStore` request send
@@ -99,7 +97,6 @@ FAULT_POINTS = frozenset(
         "store.load_label_arrays",
         "pool.task",
         "pushdown.sql",
-        "routing.migrate",
         "server.read",
         "server.write",
         "client.send",

@@ -401,33 +401,6 @@ class RemoteStore:
         return json.loads(self._request(wire.OP_HEALTH).str())
 
     # ------------------------------------------------------------------
-    # routing maintenance (protocol v4, sharded stores only)
-    # ------------------------------------------------------------------
-    def rebalance(self, specification: str, shard: Optional[int] = None) -> dict:
-        """Migrate *specification*'s runs to *shard* (server-side, online).
-
-        ``shard=None`` lets the server pick the least-loaded shard.  The
-        server raises :class:`~repro.exceptions.StorageError` when it
-        fronts a single-file store.
-        """
-        body = (
-            Writer()
-            .put_str(specification)
-            .put_i64(-1 if shard is None else int(shard))
-            .getvalue()
-        )
-        return json.loads(self._request(wire.OP_REBALANCE, body).str())
-
-    def replicate(self, specification: str, count: int) -> list[str]:
-        """Attach *count* read replicas of *specification*'s owning shard."""
-        body = Writer().put_str(specification).put_i64(int(count)).getvalue()
-        return json.loads(self._request(wire.OP_REPLICATE, body).str())["replicas"]
-
-    def routing_table(self) -> dict:
-        """The server store's routing table (overrides, runs, replicas)."""
-        return json.loads(self._request(wire.OP_ROUTING).str())
-
-    # ------------------------------------------------------------------
     # ingest
     # ------------------------------------------------------------------
     def ingest(self, labeled_runs: Iterable[Any], *, flush: bool = True) -> list[int]:

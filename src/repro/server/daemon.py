@@ -63,7 +63,7 @@ from repro.api.queries import (
 )
 from repro.api.session import PROMOTE_AFTER_DEFAULT, ProvenanceSession
 from repro.api.workload import decode_pair_workload
-from repro.exceptions import ProtocolError, ReproError, StorageError
+from repro.exceptions import ProtocolError, ReproError
 from repro.server import protocol as wire
 from repro.server.protocol import Reader, Writer, frame
 
@@ -186,9 +186,6 @@ class ProvenanceServer:
             wire.OP_LIST_RUNS: self._op_list_runs,
             wire.OP_LIST_SPECS: self._op_list_specs,
             wire.OP_HEALTH: self._op_health,
-            wire.OP_REBALANCE: self._op_rebalance,
-            wire.OP_REPLICATE: self._op_replicate,
-            wire.OP_ROUTING: self._op_routing,
         }
 
     # ------------------------------------------------------------------
@@ -614,44 +611,10 @@ class ProvenanceServer:
         }
         shards = store.cache_stats().get("shards")
         if isinstance(shards, dict):
-            # the sharded store's skew table (protocol v4): per-shard spec
-            # and run counts, file bytes, sweep hits, replicas — what an
-            # operator reads to decide which shard to split
+            # the sharded store's skew table: per-shard spec and run
+            # counts, file bytes and sweep hits — where the load sits
             health["shards"] = shards
         return Writer().put_str(json.dumps(health, default=str)).getvalue()
-
-    # ------------------------------------------------------------------
-    # the routing maintenance ops (protocol v4, sharded stores only)
-    # ------------------------------------------------------------------
-    def _require_sharded(self, op: str) -> Any:
-        store = self._store
-        if not hasattr(store, "rebalance"):
-            raise StorageError(
-                f"{op} needs a sharded store; this server fronts a "
-                "single-file database"
-            )
-        return store
-
-    def _op_rebalance(self, state: _Connection, reader: Reader) -> bytes:
-        specification = reader.str()
-        shard = reader.i64()  # -1 = auto-pick the least-loaded shard
-        reader.expect_end()
-        store = self._require_sharded("rebalance")
-        summary = store.rebalance(specification, None if shard < 0 else shard)
-        return Writer().put_str(json.dumps(summary)).getvalue()
-
-    def _op_replicate(self, state: _Connection, reader: Reader) -> bytes:
-        specification = reader.str()
-        count = reader.i64()
-        reader.expect_end()
-        store = self._require_sharded("replicate")
-        paths = store.replicate(specification, count)
-        return Writer().put_str(json.dumps({"replicas": paths})).getvalue()
-
-    def _op_routing(self, state: _Connection, reader: Reader) -> bytes:
-        reader.expect_end()
-        store = self._require_sharded("routing")
-        return Writer().put_str(json.dumps(store.routing_table())).getvalue()
 
 
 def _error_frame(status: int, exc: BaseException) -> bytes:

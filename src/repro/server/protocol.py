@@ -54,9 +54,6 @@ __all__ = [
     "OP_LIST_RUNS",
     "OP_LIST_SPECS",
     "OP_HEALTH",
-    "OP_REBALANCE",
-    "OP_REPLICATE",
-    "OP_ROUTING",
     "OP_NAMES",
     "Writer",
     "Reader",
@@ -76,7 +73,10 @@ __all__ = [
 #: and ROUTING maintenance opcodes (sharded stores only), and the HEALTH
 #: report gains the per-shard skew table (spec/run counts, file bytes,
 #: sweep hits, replicas) from ``cache_stats()["shards"]``.
-PROTOCOL_VERSION = 4
+#: Version 5 deletes the routing subsystem: opcodes 16-18 are gone (1-15
+#: keep their numbers), and the HEALTH skew rows lose their ``replicas``
+#: and ``routed_specs`` fields.
+PROTOCOL_VERSION = 5
 
 #: default TCP port of ``repro-provenance serve`` and ``repro://`` URLs
 DEFAULT_PORT = 9763
@@ -104,10 +104,7 @@ STATUS_FATAL = 2
     OP_LIST_RUNS,
     OP_LIST_SPECS,
     OP_HEALTH,
-    OP_REBALANCE,
-    OP_REPLICATE,
-    OP_ROUTING,
-) = range(1, 19)
+) = range(1, 16)
 
 #: opcode -> display name (error messages and the bench's op mix report)
 OP_NAMES = {
@@ -126,9 +123,6 @@ OP_NAMES = {
     OP_LIST_RUNS: "list-runs",
     OP_LIST_SPECS: "list-specs",
     OP_HEALTH: "health",
-    OP_REBALANCE: "rebalance",
-    OP_REPLICATE: "replicate",
-    OP_ROUTING: "routing",
 }
 
 _LEN = struct.Struct("<I")

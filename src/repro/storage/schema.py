@@ -80,10 +80,11 @@ SCHEMA_STATEMENTS: tuple[str, ...] = (
     )
     """,
     # -- schema v4: the shard routing catalog -------------------------------
-    # Placement overrides consulted *before* the CRC-32 spec hash and the
-    # run-id modulo.  Only shard 0 of a sharded directory ever holds rows
-    # (it is the catalog shard); the tables are created on every layout so
-    # the v4 migration is a no-op reopen for single-file stores too.
+    # Placement overrides and a migration journal that an older build's
+    # online rebalance wrote into shard 0 of a sharded directory.  Nothing
+    # writes them any more: placement is the spec-name hash, and opening a
+    # directory whose shard 0 holds rows here raises (see
+    # ``repro.storage.sharded``).  They stay so the schema is unchanged.
     """
     CREATE TABLE IF NOT EXISTS shard_routing (
         spec_name TEXT PRIMARY KEY,
@@ -96,12 +97,6 @@ SCHEMA_STATEMENTS: tuple[str, ...] = (
         shard  INTEGER NOT NULL
     )
     """,
-    # The migration journal: one row per in-flight rebalance, written
-    # before the copy starts and deleted after the source rows are gone.
-    # Crash recovery reads ``state`` to roll the migration back
-    # (``copying``: drop the partial target copy) or forward (``flipped``:
-    # finish deleting the source rows) — either way exactly one valid
-    # placement survives.
     """
     CREATE TABLE IF NOT EXISTS shard_migrations (
         spec_name TEXT PRIMARY KEY,

@@ -6,7 +6,7 @@ workstation, a wall for write-heavy traffic (SQLite serializes writers per
 file).  :class:`ShardedProvenanceStore` removes that wall without changing
 a single caller:
 
-* **Routing** — every specification (and therefore all of its runs) lives
+* **Placement** — every specification (and therefore all of its runs) lives
   in exactly one of N shard files, picked by a stable hash of the
   specification's identity (:func:`shard_of_spec`, CRC-32 of the unique
   name the store's ``spec_id`` denotes).  Keeping a spec's runs together
@@ -37,14 +37,14 @@ a single caller:
   bit-identically to a single-file store built from the same runs
   (hypothesis-checked in ``tests/test_sharded_properties.py``).
 
-* **Routing subsystem** — placement is an override-able catalog
-  (:mod:`repro.storage.routing`, schema v4): the persisted routing table
-  is consulted *before* the CRC-32 hash and the id arithmetic, so
-  :meth:`rebalance` can migrate a hot spec's runs onto a dedicated shard
-  online (copy → flip → delete, crash-recoverable) while unlisted specs
-  keep hashing exactly as before.  :meth:`replicate` attaches read-only
-  replica copies (:mod:`repro.storage.replicas`) the cross-run executor
-  round-robins its worker connections over.
+Placement is a pure function of the spec name and the run id, fixed at
+creation: there is no catalog to consult, so two handles (or processes)
+on one directory cannot disagree about where a run lives.  Schema v4's
+routing tables (``shard_routing``, ``run_routing``, ``shard_migrations``)
+are still created, and nothing writes them; a directory whose shard 0
+holds rows in them was rebalanced by an older build, and opening it
+raises :class:`~repro.exceptions.StorageError` rather than silently
+missing the relocated runs.
 
 The store is strictly file-backed (``:memory:`` cannot be sharded); the
 shard count is fixed at creation and recovered from the directory layout
@@ -64,9 +64,6 @@ from typing import Optional, Union
 from repro.exceptions import StorageError
 from repro.skeleton.skl import SkeletonLabeledRun
 from repro.storage.database import connect
-from repro.storage.replicas import ReplicaManager
-from repro.storage.routing import RoutingTable, migrate_spec, recover_migrations
-from repro.storage.schema import SCHEMA_VERSION
 from repro.storage.store import (
     ProvenanceStore,
     RunLabelArrays,
@@ -115,12 +112,48 @@ def _stored_schema_version(shard_file: Path) -> str:
     return str(row[0]) if row is not None else "unknown"
 
 
+def _refuse_routing_catalog(catalog: sqlite3.Connection, directory: Path) -> None:
+    """Raise if shard 0 holds rows an older build's ``rebalance`` wrote.
+
+    Such a build relocated specs away from their hash shard and recorded
+    the moves in the schema v4 routing tables.  Placement here is the hash
+    alone, so the moved runs would drop out of every query with no error.
+    """
+    specs = [
+        f"{name!r} (shard {shard})"
+        for name, shard in catalog.execute(
+            "SELECT spec_name, shard FROM shard_routing ORDER BY spec_name"
+        ).fetchall()
+    ]
+    (routed_runs,) = catalog.execute("SELECT COUNT(*) FROM run_routing").fetchone()
+    migrations = [
+        f"{name!r} ({state})"
+        for name, state in catalog.execute(
+            "SELECT spec_name, state FROM shard_migrations ORDER BY spec_name"
+        ).fetchall()
+    ]
+    if not (specs or routed_runs or migrations):
+        return
+    half_done = (
+        f"a migration was left half-done: {', '.join(migrations)}"
+        if migrations
+        else "no migration was left half-done"
+    )
+    raise StorageError(
+        f"store at {directory} was rebalanced by an older build: routed "
+        f"specifications {', '.join(specs) or '(none)'}, {routed_runs} routed "
+        f"runs; {half_done}.  This build places every specification by the "
+        "hash of its name and would miss the relocated runs; copy the runs "
+        "into a fresh directory with the build that rebalanced them"
+    )
+
+
 def shard_of_spec(name: str, shards: int) -> int:
     """The shard owning specification *name* (stable across sessions/hosts).
 
     CRC-32 of the UTF-8 name: deterministic, platform-independent, and
     computed from the one identity a ``spec_id`` denotes (names are unique
-    in the store), so the routing never depends on insertion order.
+    in the store), so placement never depends on insertion order.
     """
     return zlib.crc32(name.encode("utf-8")) % shards
 
@@ -181,10 +214,6 @@ class ShardedProvenanceStore:
         self._shard_paths = [
             directory / SHARD_FILE_FORMAT.format(index) for index in range(shards)
         ]
-        self._shard_index_of_path = {
-            str(shard_path): index
-            for index, shard_path in enumerate(self._shard_paths)
-        }
         # one writer lock per shard: serializes this process's writers of a
         # shard (batched ingest tasks, synchronous adds, deletes) so id
         # allocation never races; cross-process safety is SQLite's lock
@@ -193,41 +222,33 @@ class ShardedProvenanceStore:
             ProvenanceStore(shard_path, journal_mode="WAL")
             for shard_path in self._shard_paths
         ]
+        try:
+            _refuse_routing_catalog(self._stores[0]._connection, directory)
+        except StorageError:
+            for store in self._stores:
+                store.close()
+            raise
         self._session = None
         self._closed = False
         # degradation events noted against the sharded layer itself (the
         # cross-run executor holds this store); shard-local events are
         # aggregated in from the shard stores by cache_stats
         self._degraded: dict[str, int] = {}
-        # the routing subsystem: the persisted placement catalog (held in
-        # shard 0), hot-spec read replicas, and the migration serializer —
-        # recovery then resolves any migration a crash left half-done
-        self._routing = RoutingTable(self._shard_paths[0])
-        self._replicas = ReplicaManager(directory, self._shard_paths)
-        self._migration_lock = threading.Lock()
-        recover_migrations(self)
 
     # ------------------------------------------------------------------
-    # routing (catalog overrides first, then the hash / id arithmetic)
+    # placement (the CRC-32 spec hash and the run-id arithmetic)
     # ------------------------------------------------------------------
-    def _routed_shard_of_spec(self, name: str) -> int:
-        """The shard owning spec *name*: routing override, else CRC-32 hash."""
-        routed = self._routing.shard_of_spec(name)
-        if routed is not None:
-            return routed
+    def _shard_of_spec(self, name: str) -> int:
         return shard_of_spec(name, self.shard_count)
 
     def _shard_of_run(self, run_id: int) -> int:
-        routed = self._routing.shard_of_run(run_id)
-        if routed is not None:
-            return routed
         return shard_of_run(run_id, self.shard_count)
 
     def _store_of_run(self, run_id: int) -> ProvenanceStore:
         return self._stores[self._shard_of_run(run_id)]
 
     def _store_of_spec(self, name: str) -> ProvenanceStore:
-        return self._stores[self._routed_shard_of_spec(name)]
+        return self._stores[self._shard_of_spec(name)]
 
     def shard_path_of(self, run_id: int) -> Path:
         """The shard file holding *run_id* (what parallel workers open)."""
@@ -250,8 +271,6 @@ class ShardedProvenanceStore:
         if self._closed:
             return
         self._closed = True
-        self._routing.close()
-        self._replicas.close()
         for store in self._stores:
             store.close()
 
@@ -281,12 +300,9 @@ class ShardedProvenanceStore:
         hand its id to the next one.
 
         The congruence is re-derived from the high-water mark rather than
-        assumed: a rebalanced shard holds *migrated* rows whose ids encode
-        their original shard, so ``highest`` may sit in another shard's
-        congruence class.  Rounding up to this shard's own class keeps
-        every freshly allocated id both unique across shards (each shard
-        only ever mints ids in its class; migrated ids stay burned into
-        their source shard's sequence) and arithmetic-routable.
+        assumed: an older build's rolled-back migration can leave a
+        shard's ``sqlite_sequence`` in another shard's class, and rounding
+        up to this shard's own class keeps fresh ids unique and routable.
         """
         row = connection.execute(
             "SELECT seq FROM sqlite_sequence WHERE name = ?", (table,)
@@ -350,7 +366,6 @@ class ShardedProvenanceStore:
                             )
                         )
                     connection.execute("COMMIT")
-                    self._note_shard_write(shard)
                     return run_ids
                 except BaseException:
                     connection.execute("ROLLBACK")
@@ -384,7 +399,7 @@ class ShardedProvenanceStore:
             return []
         groups: dict[int, list[int]] = {}
         for position, labeled in enumerate(runs):
-            shard = self._routed_shard_of_spec(labeled.run.specification.name)
+            shard = self._shard_of_spec(labeled.run.specification.name)
             groups.setdefault(shard, []).append(position)
         if len(groups) == 1:
             # one shard: a thread round trip buys nothing, commit inline
@@ -432,7 +447,7 @@ class ShardedProvenanceStore:
     def add_specification(self, spec: WorkflowSpecification) -> int:
         """Store *spec* in its shard (idempotent by name); returns its id."""
         self._require_open()
-        shard = self._routed_shard_of_spec(spec.name)
+        shard = self._shard_of_spec(spec.name)
         connection = self._stores[shard]._connection
         with self._locks[shard]:
             # BEGIN IMMEDIATE before the id-allocating read, like the
@@ -442,93 +457,10 @@ class ShardedProvenanceStore:
             try:
                 spec_id = self._insert_specification(connection, shard, spec)
                 connection.execute("COMMIT")
-                self._note_shard_write(shard)
                 return spec_id
             except BaseException:
                 connection.execute("ROLLBACK")
                 raise
-
-    # ------------------------------------------------------------------
-    # the routing subsystem: rebalance, replicas, catalog introspection
-    # ------------------------------------------------------------------
-    def _note_shard_write(self, shard: int) -> None:
-        """Bump the shard's update version: its replicas are now stale."""
-        self._replicas.note_write(shard)
-
-    def _shard_run_counts(self) -> list[int]:
-        """Stored run count per shard (what ``rebalance`` auto-picks by)."""
-        return [
-            int(
-                store._connection.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
-            )
-            for store in self._stores
-        ]
-
-    def rebalance(self, specification: str, shard: Optional[int] = None) -> dict:
-        """Migrate *specification*'s runs onto *shard* (``None`` = least loaded).
-
-        The online maintenance path of :mod:`repro.storage.routing`: rows
-        are copied id-for-id under the source shard's write lock, the
-        routing catalog flips in one transaction, then the source rows are
-        deleted — readers serve bit-identical answers throughout, and a
-        crash anywhere recovers to exactly one valid placement.
-        """
-        return migrate_spec(self, specification, shard)
-
-    def split(self, specification: str) -> dict:
-        """Alias of :meth:`rebalance` with the target auto-picked."""
-        return self.rebalance(specification, None)
-
-    def replicate(self, specification: str, count: int) -> list[str]:
-        """Attach *count* read replicas of the shard owning *specification*.
-
-        Returns the replica file paths.  The cross-run executor round-robins
-        its per-worker read-only connections over ``[primary] + replicas``;
-        any write into the shard invalidates the set (readers fall back to
-        the primary) and the next rotation refreshes the copies.
-        """
-        self._require_open()
-        # raises StorageError if the spec is unknown, before any copying
-        self.get_specification(specification)
-        return self._replicas.replicate(
-            self._routed_shard_of_spec(specification), count
-        )
-
-    def replica_rotation(self, db_path) -> list[str]:
-        """``[primary] + fresh replicas`` for one shard file (executor hook)."""
-        path = str(db_path)
-        shard = self._shard_index_of_path.get(path)
-        if shard is None:
-            return [path]
-        return [path, *self._replicas.rotation(shard)]
-
-    def read_fan_of(self, specification: str) -> int:
-        """How many equivalent files can serve reads of *specification*.
-
-        ``1`` without replicas; the planner uses a wider fan to justify
-        parallel workers even where the auto-sizing would stay sequential.
-        """
-        shard = self._routed_shard_of_spec(specification)
-        return 1 + len(self._replicas.rotation(shard))
-
-    def routing_table(self) -> dict:
-        """A snapshot of the routing catalog (CLI ``routing`` / wire dump)."""
-        overrides = self._routing.entries()
-        return {
-            "shards": self.shard_count,
-            "specs": {
-                name: {
-                    "shard": shard,
-                    "hash_shard": shard_of_spec(name, self.shard_count),
-                }
-                for name, shard in sorted(overrides.items())
-            },
-            "routed_runs": self._routing.overridden_run_count,
-            "replicas": {
-                str(shard): count
-                for shard, count in sorted(self._replicas.counts().items())
-            },
-        }
 
     # ------------------------------------------------------------------
     # specifications and runs (read side: routed delegation)
@@ -562,8 +494,6 @@ class ShardedProvenanceStore:
         shard = self._shard_of_run(run_id)
         with self._locks[shard]:
             self._stores[shard].delete_run(run_id)
-            self._note_shard_write(shard)
-        self._routing.forget_run(run_id)
 
     def update_run_labels(self, run_id: int, labeled) -> int:
         """Persist a repaired label set into the run's owning shard.
@@ -575,9 +505,7 @@ class ShardedProvenanceStore:
         """
         shard = self._shard_of_run(run_id)
         with self._locks[shard]:
-            count = self._stores[shard].update_run_labels(run_id, labeled)
-            self._note_shard_write(shard)
-            return count
+            return self._stores[shard].update_run_labels(run_id, labeled)
 
     # ------------------------------------------------------------------
     # labels and engines
@@ -681,9 +609,7 @@ class ShardedProvenanceStore:
         """Store the data items of *dataflow* in the run's shard."""
         shard = self._shard_of_run(run_id)
         with self._locks[shard]:
-            count = self._stores[shard].add_dataflow(run_id, dataflow)
-            self._note_shard_write(shard)
-            return count
+            return self._stores[shard].add_dataflow(run_id, dataflow)
 
     def data_depends_on_data(self, run_id: int, item_id: str, other_id: str) -> bool:
         """Does stored data item *item_id* depend on *other_id*?"""
@@ -719,9 +645,8 @@ class ShardedProvenanceStore:
 
         The numeric counters of every shard store are summed (the session
         surfaces them unchanged); ``shards`` carries the **skew table** —
-        per-shard spec count, run count, on-disk bytes, sweep hit counters,
-        attached replicas and routed (override-placed) specs — so an
-        operator can see which shard to split.
+        per-shard spec count, run count, on-disk bytes and sweep hit
+        counters — so an operator can see where the load sits.
         """
         totals = {
             "stored_runs_cached": 0,
@@ -731,11 +656,6 @@ class ShardedProvenanceStore:
         }
         pushdown: dict[str, dict[str, int]] = {"sql": {}, "kernel": {}}
         degraded = dict(self._degraded)
-        overrides = self._routing.entries()
-        routed_of: dict[int, int] = {}
-        for shard in overrides.values():
-            routed_of[shard] = routed_of.get(shard, 0) + 1
-        replica_counts = self._replicas.counts()
         per_shard: list[dict] = []
         for index, store in enumerate(self._stores):
             shard_stats = store.cache_stats()
@@ -765,8 +685,6 @@ class ShardedProvenanceStore:
                     ),
                     "file_bytes": self._shard_file_bytes(index),
                     "sweeps": sweeps,
-                    "replicas": int(replica_counts.get(index, 0)),
-                    "routed_specs": int(routed_of.get(index, 0)),
                 }
             )
         return {

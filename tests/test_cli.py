@@ -18,8 +18,7 @@ class TestParser:
         assert commands == {
             "generate-spec", "generate-run", "label", "query", "query-batch",
             "pack-workload", "sweep", "cross-batch", "serve", "health",
-            "stats", "rebalance", "replicate", "routing",
-            "verify", "info", "experiments",
+            "stats", "verify", "info", "experiments",
         }
 
     def test_missing_command_errors(self, capsys):
@@ -503,8 +502,8 @@ class TestInfoAndExperiments:
         written = list((tmp_path / "reports").glob("*.txt"))
         # tables 1-2, figures 12-20, spec-scheme ablation, engine throughput,
         # handle-path throughput, cross-run + parallel cross-run throughput,
-        # sharded-ingest + shard-rebalance throughput, server throughput,
-        # sql-pushdown throughput, incremental-update throughput
-        assert len(written) == 21
+        # sharded-ingest throughput, server throughput, sql-pushdown
+        # throughput, incremental-update throughput
+        assert len(written) == 20
         # every report also carries a machine-readable BENCH_*.json twin
-        assert len(list((tmp_path / "reports").glob("BENCH_*.json"))) == 21
+        assert len(list((tmp_path / "reports").glob("BENCH_*.json"))) == 20

@@ -208,6 +208,8 @@ class TestFaultSpecGrammar:
             parse_fault_spec("disk.melt:oserror,once")
         with pytest.raises(FaultSpecError, match="unknown fault point"):
             parse_fault_spec("pool.submit:oserror")
+        with pytest.raises(FaultSpecError, match="unknown fault point"):
+            parse_fault_spec("routing.migrate:crash,once")
         with pytest.raises(FaultSpecError, match="unknown key"):
             parse_fault_spec("pool.task:crash,when=later")
         with pytest.raises(FaultSpecError, match="bad seed"):
@@ -535,7 +537,7 @@ class TestHealthOp:
         store, server, client = served_faulted
         report = client.health()
         assert report["status"] == "ok"
-        assert report["protocol"] == 4
+        assert report["protocol"] == 5
         assert report["shards_total"] == 2
         assert report["shards_reachable"] == 2
         assert report["connections"] >= 1

@@ -174,19 +174,14 @@ class TestChunking:
         executor = CrossRunExecutor(store, workers=2)
         assert executor._path_groups(run_ids) == [(str(store.path), run_ids)]
 
-    @pytest.mark.parametrize(
-        ("rotation", "paths"),
-        [(["p.db", "r1.db", "r2.db"], ["p.db", "r1.db", "r2.db", "p.db"]),
-         ([], ["p.db"] * 4)],  # no fresh replica: every chunk reads the primary
-        ids=["replicas", "primary-only"],
-    )
-    def test_replica_rotation_is_round_robined_over_chunks(self, rotation, paths):
-        store = SimpleNamespace(path="p.db", replica_rotation=lambda path: rotation)
-        fanned = list(CrossRunExecutor(store)._fan_chunks(list(range(16)), 4))
-        assert [path for path, _ in fanned] == paths
-        assert [chunk for _, chunk in fanned] == [
-            list(range(start, start + 4)) for start in (0, 4, 8, 12)
-        ]
+    def test_each_chunk_reads_its_own_shard_file(self):
+        store = SimpleNamespace(shard_path_of=lambda run_id: f"shard-{run_id % 2}.db")
+        fanned = list(CrossRunExecutor(store)._fan_chunks(list(range(16)), 2))
+        for path, chunk in fanned:
+            assert {f"shard-{run_id % 2}.db" for run_id in chunk} == {path}
+        assert sorted(run_id for _, chunk in fanned for run_id in chunk) == list(
+            range(16)
+        )
 
 
 class TestExecutorModes:

@@ -398,8 +398,9 @@ class TestWireProtocol:
     def test_protocol_version_covers_pushdown_and_faults(self):
         # v2 added the pushdown byte; v3 the fault-tolerance handshake
         # (HELLO client id, ingest sequence tokens, the HEALTH op); v4 the
-        # routing maintenance ops (REBALANCE/REPLICATE/ROUTING + skew)
-        assert wire.PROTOCOL_VERSION == 4
+        # routing maintenance ops (REBALANCE/REPLICATE/ROUTING + skew); v5
+        # deleted those three ops and the skew rows' routing fields
+        assert wire.PROTOCOL_VERSION == 5
 
     @pytest.mark.parametrize("mode", [None, "auto", "always", "never"])
     def test_pushdown_mode_round_trips(self, mode):

@@ -1,15 +1,21 @@
 """Tests for the sharded provenance store and its parallel ingest service.
 
-Covers routing and global-id allocation, the full ``ProvenanceStore``
-surface parity through the session, the per-shard batched write path
-(including input-order ids, duplicate detection and reopen), concurrent
-writer/reader stress, shard-aware parallel execution, and the CLI
-``--shards`` flag.
+Covers hash placement and global-id allocation, the full
+``ProvenanceStore`` surface parity through the session, the per-shard
+batched write path (including input-order ids, duplicate detection and
+reopen), the refusal of directories an older build rebalanced, two
+handles ingesting into one directory, concurrent writer/reader stress,
+shard-aware parallel execution, the per-shard skew table (``stats``,
+``health``), and the CLI ``--shards`` flag.
 """
 
 from __future__ import annotations
 
+import json
+import sqlite3
+import sys
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -27,7 +33,10 @@ from repro.datasets.synthetic import SyntheticSpecConfig, generate_specification
 from repro.engine.parallel import CrossRunExecutor
 from repro.exceptions import StorageError
 from repro.provenance.data import DataFlow
+from repro.server import RemoteStore, ServerThread
+from repro.server.protocol import PROTOCOL_VERSION
 from repro.skeleton.skl import SkeletonLabeler
+from repro.storage import sharded as sharded_module
 from repro.storage.sharded import (
     DEFAULT_SHARDS,
     MAX_SHARDS,
@@ -79,6 +88,67 @@ def _synthetic_labeled_runs(
         run = generate_run_with_size(spec, size, seed=i, name="r").run
         labeled.append(SkeletonLabeler(spec, "tcm").label_run(run))
     return labeled
+
+
+def _small_spec(name, seed):
+    return generate_specification(
+        SyntheticSpecConfig(
+            n_modules=12,
+            n_edges=14,
+            hierarchy_size=2,
+            hierarchy_depth=2,
+            name=name,
+            seed=seed,
+        )
+    )
+
+
+def _name_on_shard(prefix, shard, shards):
+    """A deterministic spec name the CRC-32 hash places on *shard*."""
+    for index in range(10_000):
+        candidate = f"{prefix}-{index}"
+        if shard_of_spec(candidate, shards) == shard:
+            return candidate
+    raise AssertionError(f"no {prefix!r} candidate hashes onto shard {shard}")
+
+
+SKEW_SHARDS = 4
+HOT_RUNS = 6
+COLD_RUNS = 2
+#: the fields of one ``cache_stats()["shards"]["per_shard"]`` row
+SKEW_FIELDS = {"shard", "file", "specs", "runs", "file_bytes", "sweeps"}
+
+
+@pytest.fixture()
+def skewed(tmp_path):
+    """A 4-shard store whose hot and cold specs hash onto one shard."""
+    hot = "skew-hot"
+    hot_shard = shard_of_spec(hot, SKEW_SHARDS)
+    cold = _name_on_shard("skew-cold", hot_shard, SKEW_SHARDS)
+    labeled = []
+    for name, seed, count in ((hot, 7, HOT_RUNS), (cold, 8, COLD_RUNS)):
+        spec = _small_spec(name, seed)
+        labeler = SkeletonLabeler(spec, "tcm")
+        labeled += [
+            labeler.label_run(
+                generate_run_with_size(
+                    spec, 24, seed=100 * seed + index, name=f"{name}-{index}"
+                ).run
+            )
+            for index in range(count)
+        ]
+    directory = tmp_path / "skewed"
+    store = ShardedProvenanceStore(directory, SKEW_SHARDS)
+    store.add_labeled_runs(labeled)
+    anchor = labeled[0].run.vertices()[0]
+    yield {
+        "store": store,
+        "directory": directory,
+        "hot": hot,
+        "hot_shard": hot_shard,
+        "anchor": (anchor.module, anchor.instance),
+    }
+    store.close()
 
 
 class TestRouting:
@@ -645,3 +715,279 @@ class TestReviewRegressions:
         with pytest.raises(StorageError, match="without shard files"):
             open_store(plain_dir)
         assert sorted(p.name for p in plain_dir.iterdir()) == ["notes.txt"]
+
+
+class TestSkewTable:
+    def test_per_shard_skew_table_shape(self, skewed):
+        store = skewed["store"]
+        CrossRunExecutor(store, workers=2).sweep(skewed["hot"], skewed["anchor"])
+        shards = store.cache_stats()["shards"]
+        assert shards["count"] == SKEW_SHARDS
+        assert len(shards["per_shard"]) == SKEW_SHARDS
+        for row in shards["per_shard"]:
+            assert set(row) == SKEW_FIELDS
+        assert sum(row["runs"] for row in shards["per_shard"]) == (
+            HOT_RUNS + COLD_RUNS
+        )
+        hot_row = shards["per_shard"][skewed["hot_shard"]]
+        assert hot_row["file"] == f"shard-{skewed['hot_shard']:02d}.db"
+        assert hot_row["specs"] == 2
+        assert hot_row["runs"] == HOT_RUNS + COLD_RUNS
+        assert hot_row["file_bytes"] > 0
+        assert hot_row["sweeps"]["kernel"] + hot_row["sweeps"]["sql"] >= 1
+
+    def test_stats_prints_the_skew_table(self, skewed, capsys):
+        from repro.cli import main
+
+        skewed["store"].close()
+        database = str(skewed["directory"])
+        assert main(["stats", "--database", database]) == 0
+        out = capsys.readouterr().out
+        assert f"{database}: {SKEW_SHARDS} shards" in out
+        assert "file_bytes" in out and "sweeps sql" in out
+        assert "replicas" not in out and "routed" not in out
+        assert main(["stats", "--database", database, "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["shards"]["count"] == SKEW_SHARDS
+        hot_row = stats["shards"]["per_shard"][skewed["hot_shard"]]
+        assert hot_row["runs"] == HOT_RUNS + COLD_RUNS
+
+    def test_stats_on_a_single_file_store(self, tmp_path, capsys, labeled_batch):
+        from repro.cli import main
+
+        database = tmp_path / "single.db"
+        with ProvenanceStore(database) as single:
+            single.add_labeled_run(labeled_batch[0])
+        assert main(["stats", "--database", str(database)]) == 0
+        out = capsys.readouterr().out
+        assert f"{database}: single-file store" in out
+        assert "file_bytes" not in out
+
+    def test_health_carries_the_skew_table_over_the_wire(self, skewed):
+        store = skewed["store"]
+        with ServerThread(store) as server, RemoteStore(server.url) as client:
+            health = client.health()
+        assert health["protocol"] == PROTOCOL_VERSION == 5
+        assert health["shards_total"] == health["shards_reachable"] == SKEW_SHARDS
+        rows = health["shards"]["per_shard"]
+        assert health["shards"]["count"] == SKEW_SHARDS
+        assert [row["runs"] for row in rows] == [
+            row["runs"] for row in store.cache_stats()["shards"]["per_shard"]
+        ]
+        assert set(rows[0]) == SKEW_FIELDS
+
+
+#: one row per schema v4 routing table, as an older build's rebalance
+#: wrote them into shard 0
+_ROUTING_ROWS = {
+    "shard_routing": (
+        "INSERT INTO shard_routing (spec_name, shard) VALUES (?, ?)",
+        ("moved-spec", 2),
+    ),
+    "run_routing": (
+        "INSERT INTO run_routing (run_id, shard) VALUES (?, ?)",
+        (5, 2),
+    ),
+    "shard_migrations": (
+        "INSERT INTO shard_migrations "
+        "(spec_name, spec_id, source, target, state, run_ids) "
+        "VALUES (?, ?, ?, ?, ?, ?)",
+        ("moved-spec", 1, 0, 2, "copying", "[5]"),
+    ),
+}
+
+
+def _write_rows(database, tables):
+    with closing(sqlite3.connect(database)) as connection, connection:
+        for table in tables:
+            connection.execute(*_ROUTING_ROWS[table])
+
+
+class TestRebalancedDirectoryIsRefused:
+    @pytest.mark.parametrize("table", sorted(_ROUTING_ROWS))
+    def test_a_routing_row_in_shard_zero_refuses_the_open(
+        self, tmp_path, labeled_batch, monkeypatch, table
+    ):
+        directory = tmp_path / "rebalanced"
+        with ShardedProvenanceStore(directory, 3) as store:
+            store.add_labeled_runs(labeled_batch)
+        _write_rows(directory / "shard-00.db", [table])
+        opened = []
+
+        class RecordingStore(ProvenanceStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(sharded_module, "ProvenanceStore", RecordingStore)
+        with pytest.raises(StorageError, match="rebalanced by an older build") as info:
+            ShardedProvenanceStore(directory)
+        message = str(info.value)
+        if table == "shard_routing":
+            assert "'moved-spec' (shard 2)" in message
+        if table == "run_routing":
+            assert "1 routed runs" in message
+        if table == "shard_migrations":
+            assert "half-done: 'moved-spec' (copying)" in message
+        else:
+            assert "no migration was left half-done" in message
+        # every shard connection the refused open made is closed again
+        assert len(opened) == 3
+        assert all(store.closed for store in opened)
+        with pytest.raises(StorageError, match="older build"):
+            open_store(directory)
+
+    def test_an_untouched_v4_directory_opens(self, tmp_path, labeled_batch):
+        directory = tmp_path / "untouched"
+        with ShardedProvenanceStore(directory, 3) as store:
+            ids = store.add_labeled_runs(labeled_batch)
+        with closing(sqlite3.connect(directory / "shard-00.db")) as connection:
+            version = connection.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()[0]
+            counts = [
+                connection.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                for table in sorted(_ROUTING_ROWS)
+            ]
+        assert version == "4"
+        assert counts == [0, 0, 0]
+        with ShardedProvenanceStore(directory) as reopened:
+            assert [row["run_id"] for row in reopened.list_runs()] == sorted(ids)
+
+    def test_a_single_file_store_is_unaffected(self, tmp_path, labeled_batch):
+        database = tmp_path / "single.db"
+        with ProvenanceStore(database) as store:
+            run_id = store.add_labeled_run(labeled_batch[0])
+        _write_rows(database, sorted(_ROUTING_ROWS))
+        with open_store(database) as reopened:
+            assert isinstance(reopened, ProvenanceStore)
+            assert [row["run_id"] for row in reopened.list_runs()] == [run_id]
+
+
+def _by_run_name(result, name_of):
+    """A ``(per_run, skipped)`` executor answer keyed by run name, not id."""
+    per_run, skipped = result
+    return (
+        {name_of[run_id]: answer for run_id, answer in per_run.items()},
+        sorted(name_of[run_id] for run_id in skipped),
+    )
+
+
+class TestTwoHandlesOneDirectory:
+    """Two handles on one directory contend only through SQLite's lock.
+
+    Each handle has its own per-shard locks, so two threads driving two
+    handles interleave their ``BEGIN IMMEDIATE`` ingest transactions the
+    way two processes would.  Placement is the spec-name hash, so both
+    handles agree on where every run lives without sharing any state.
+    """
+
+    SHARDS = 3
+    RUNS_PER_HANDLE = 8
+
+    @pytest.mark.parametrize("layout", ["one-shard", "two-shards"])
+    def test_interleaved_ingest_lands_once_in_the_hash_shard(self, tmp_path, layout):
+        shards = self.SHARDS
+        first = "handles-a"
+        first_shard = shard_of_spec(first, shards)
+        offset = 0 if layout == "one-shard" else 1
+        second = _name_on_shard("handles-b", (first_shard + offset) % shards, shards)
+        specs = {first: _small_spec(first, 11), second: _small_spec(second, 12)}
+        labelers = {name: SkeletonLabeler(spec, "tcm") for name, spec in specs.items()}
+        per_handle = [
+            [
+                labelers[name].label_run(
+                    generate_run_with_size(
+                        specs[name], 20, seed=100 * handle + index,
+                        name=f"h{handle}-{index}",
+                    ).run
+                )
+                for index, name in zip(
+                    range(self.RUNS_PER_HANDLE), [first, second] * self.RUNS_PER_HANDLE
+                )
+            ]
+            for handle in range(2)
+        ]
+        directory = tmp_path / "shared"
+        ShardedProvenanceStore(directory, shards).close()
+        handles = [ShardedProvenanceStore(directory) for _ in range(2)]
+        start = threading.Barrier(2)
+        ids: list[list[int]] = [[], []]
+        errors: list[BaseException] = []
+
+        def drive(handle):
+            try:
+                start.wait(timeout=10)
+                for item in per_handle[handle]:
+                    ids[handle].append(handles[handle].add_labeled_run(item))
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=drive, args=(h,)) for h in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so the handles interleave
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            all_ids = ids[0] + ids[1]
+            assert len(set(all_ids)) == len(all_ids) == 2 * self.RUNS_PER_HANDLE
+            name_of = {}
+            for handle_runs, handle_ids in zip(per_handle, ids):
+                for item, run_id in zip(handle_runs, handle_ids):
+                    spec_shard = shard_of_spec(item.run.specification.name, shards)
+                    assert shard_of_run(run_id, shards) == spec_shard
+                    name_of[run_id] = item.run.name
+            # each shard file holds exactly the runs its id class names
+            stored = []
+            for index in range(shards):
+                with closing(sqlite3.connect(directory / f"shard-{index:02d}.db")) as c:
+                    shard_ids = [row[0] for row in c.execute("SELECT run_id FROM runs")]
+                assert all(shard_of_run(r, shards) == index for r in shard_ids)
+                stored += shard_ids
+            assert sorted(stored) == sorted(all_ids)
+            listings = [handle.list_runs() for handle in handles]
+            assert listings[0] == listings[1]
+            assert [row["run_id"] for row in listings[0]] == sorted(all_ids)
+
+            specs_first_run = {first: per_handle[0][0], second: per_handle[0][1]}
+            with ProvenanceStore(tmp_path / "oracle.db") as oracle:
+                oracle_name_of = {
+                    oracle.add_labeled_run(item): item.run.name
+                    for item in per_handle[0] + per_handle[1]
+                }
+                for name in (first, second):
+                    vertices = specs_first_run[name].run.vertices()
+                    anchor = (vertices[0].module, vertices[0].instance)
+                    ends = [(v.module, v.instance) for v in vertices[:3]]
+                    pairs = [(u, v) for u in ends for v in ends]
+                    want_sweep = _by_run_name(
+                        CrossRunExecutor(oracle, workers=1).sweep(name, anchor),
+                        oracle_name_of,
+                    )
+                    want_batch = _by_run_name(
+                        CrossRunExecutor(oracle, workers=1).batch(name, pairs),
+                        oracle_name_of,
+                    )
+                    # both handles' runs of the spec are in the answer
+                    assert len(want_sweep[0]) + len(want_sweep[1]) == (
+                        self.RUNS_PER_HANDLE
+                    )
+                    for handle in handles:
+                        for workers in (1, 2):
+                            executor = CrossRunExecutor(handle, workers=workers)
+                            assert _by_run_name(
+                                executor.sweep(name, anchor), name_of
+                            ) == want_sweep
+                            assert _by_run_name(
+                                executor.batch(name, pairs), name_of
+                            ) == want_batch
+        finally:
+            for handle in handles:
+                handle.close()

@@ -5,7 +5,8 @@ The contract of the sharded layout is total transparency: a
 labeled runs as a single-file :class:`~repro.storage.store.ProvenanceStore`
 must answer **every** query type bit-identically — point, batch,
 downstream/upstream sweeps, cross-run sweeps and cross-run batches, in
-sequential and thread-parallel execution alike.  Run ids differ
+sequential and thread-parallel execution alike — and keep doing so through
+any interleaving of late ingest and run deletion.  Run ids differ
 between the layouts by construction (the sharded store encodes the owning
 shard into the id), so answers are compared run-for-run in insertion
 order.
@@ -31,6 +32,7 @@ from repro.exceptions import DatasetError
 from repro.skeleton.skl import SkeletonLabeler
 from repro.storage.sharded import ShardedProvenanceStore
 from repro.storage.store import ProvenanceStore
+from repro.workflow.execution import generate_run_with_size
 
 FEW = settings(
     max_examples=8,
@@ -46,8 +48,6 @@ FEW = settings(
 @st.composite
 def sharded_workload(draw):
     """A random spec set, labeled runs of each, and a shard count."""
-    from repro.workflow.execution import generate_run_with_size
-
     spec_count = draw(st.integers(min_value=1, max_value=3))
     shards = draw(st.integers(min_value=1, max_value=5))
     scheme = draw(st.sampled_from(("tcm", "tree-cover", "bfs")))
@@ -168,3 +168,117 @@ def test_every_query_type_is_bit_identical_across_layouts(workload, tmp_path_fac
             assert list(single_sweep.per_run.values()) == list(
                 sharded_sweep.per_run.values()
             )
+
+
+OP_SHARDS = 3
+OP_SPEC_NAMES = ("sharded-ops-a", "sharded-ops-b")
+
+
+def _op_specs():
+    return {
+        name: generate_specification(
+            SyntheticSpecConfig(
+                n_modules=10,
+                n_edges=11,
+                hierarchy_size=2,
+                hierarchy_depth=2,
+                name=name,
+                seed=30 + index,
+            )
+        )
+        for index, name in enumerate(OP_SPEC_NAMES)
+    }
+
+
+@st.composite
+def data_ops(draw):
+    """A random sequence of late ingests and run deletions over two specs."""
+    count = draw(st.integers(min_value=1, max_value=6))
+    ops = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(("ingest", "delete")))
+        spec = draw(st.sampled_from(OP_SPEC_NAMES))
+        seed = draw(st.integers(0, 500)) if kind == "ingest" else None
+        ops.append((kind, spec, seed))
+    return ops
+
+
+@given(ops=data_ops())
+@FEW
+def test_op_sequences_stay_bit_identical_to_the_single_file_store(
+    ops, tmp_path_factory
+):
+    base = tmp_path_factory.mktemp("sharded-ops")
+    specs = _op_specs()
+    labelers = {name: SkeletonLabeler(spec, "tcm") for name, spec in specs.items()}
+
+    def label(name, seed, run_name):
+        return labelers[name].label_run(
+            generate_run_with_size(specs[name], 20, seed=seed, name=run_name).run
+        )
+
+    initial = [
+        label(name, index, f"base-{index}")
+        for index, name in enumerate(OP_SPEC_NAMES * 2)
+    ]
+    anchors = {}
+    pairs = {}
+    for item in initial:
+        name = item.run.specification.name
+        if name not in anchors:
+            vertex = item.run.vertices()[0]
+            anchors[name] = (vertex.module, vertex.instance)
+            ends = [(v.module, v.instance) for v in item.run.vertices()[:3]]
+            pairs[name] = [(u, v) for u in ends for v in ends]
+
+    with ProvenanceStore(base / "single.db") as single, ShardedProvenanceStore(
+        base / "sharded", OP_SHARDS
+    ) as sharded:
+        single_ids = [single.add_labeled_run(item) for item in initial]
+        sharded_ids = sharded.add_labeled_runs(initial)
+        id_pairs = list(zip(single_ids, sharded_ids))
+        extra = 0
+
+        def check():
+            for name in OP_SPEC_NAMES:
+                want = CrossRunExecutor(single, workers=1).sweep(
+                    name, anchors[name]
+                )
+                got = CrossRunExecutor(sharded, workers=2).sweep(
+                    name, anchors[name]
+                )
+                assert list(got[0].values()) == list(want[0].values())
+                assert len(got[1]) == len(want[1])
+                want = CrossRunExecutor(single, workers=1).batch(name, pairs[name])
+                got = CrossRunExecutor(sharded, workers=2).batch(
+                    name, pairs[name]
+                )
+                assert list(got[0].values()) == list(want[0].values())
+                assert len(got[1]) == len(want[1])
+            for run_s, run_h in id_pairs:
+                assert single.all_labels_of(run_s) == sharded.all_labels_of(run_h)
+
+        check()
+        for kind, spec, seed in ops:
+            if kind == "ingest":
+                extra += 1
+                item = label(spec, 1_000 + seed, f"late-{extra}")
+                id_pairs.append(
+                    (single.add_labeled_run(item), sharded.add_labeled_run(item))
+                )
+            else:
+                victims = [
+                    pair
+                    for pair in id_pairs
+                    if any(
+                        row["run_id"] == pair[1]
+                        for row in sharded.list_runs(spec)
+                    )
+                ]
+                if len(victims) < 2:
+                    continue  # keep at least one run of the spec sweepable
+                run_s, run_h = victims[-1]
+                single.delete_run(run_s)
+                sharded.delete_run(run_h)
+                id_pairs.remove((run_s, run_h))
+            check()
