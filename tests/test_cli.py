@@ -25,6 +25,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", ["rebalance", "replicate", "routing"])
+    def test_retired_routing_commands_are_usage_errors(
+        self, tmp_path, capsys, command
+    ):
+        # placement is the spec-name hash, so there is nothing to move,
+        # copy or list; the parser refuses before any store is opened
+        database = tmp_path / "sharded"
+        with pytest.raises(SystemExit) as info:
+            main([command, "--database", str(database)])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not database.exists()
+
 
 class TestGenerateCommands:
     def test_generate_spec_and_run(self, tmp_path, capsys):

@@ -243,6 +243,22 @@ class TestHandshakeAndSurface:
             assert response[0] == wire.STATUS_FATAL
             assert sock.recv(4096) == b""
 
+    def test_a_protocol_v4_client_is_refused_by_name(self, served):
+        # v5 retired the routing ops, so a v4 client's full HELLO (version
+        # and client id) is refused with both versions named
+        _, _, server, _ = served
+        v4_hello = frame(
+            bytes([wire.OP_HELLO]) + Writer().put_u32(4).put_str("v4").getvalue()
+        )
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(v4_hello)
+            response = _read_frame(sock)
+            assert response[0] == wire.STATUS_FATAL
+            reader = Reader(response[1:])
+            assert reader.str() == "ProtocolError"
+            assert "client speaks 4, server speaks 5" in reader.str()
+            assert sock.recv(4096) == b""
+
     def test_store_surface_matches(self, served):
         store, _, _, client = served
         assert client.list_runs() == store.list_runs()
@@ -345,6 +361,23 @@ class TestErrorHandling:
         reader = Reader(response[1:])
         assert reader.str() == "ProtocolError"
         assert "opcode" in reader.str()
+
+    @pytest.mark.parametrize(
+        "opcode", [16, 17, 18], ids=["rebalance", "replicate", "routing"]
+    )
+    def test_retired_routing_opcodes_are_fatal(self, served, opcode):
+        # protocol v4's REBALANCE/REPLICATE/ROUTING numbers are unassigned
+        # in v5: such a frame ends its connection and the daemon serves on
+        store, _, server, client = served
+        assert opcode not in wire.OP_NAMES
+        (response,) = _raw_exchange(
+            server, [frame(bytes([opcode]) + Writer().put_str("spec").getvalue())]
+        )
+        assert response[0] == wire.STATUS_FATAL
+        reader = Reader(response[1:])
+        assert reader.str() == "ProtocolError"
+        assert reader.str() == f"unknown opcode {opcode}"
+        assert client.list_runs() == store.list_runs()
 
     def test_truncated_frame_is_fatal_not_a_hang(self, served):
         _, _, server, _ = served

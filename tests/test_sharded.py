@@ -112,6 +112,22 @@ def _name_on_shard(prefix, shard, shards):
     raise AssertionError(f"no {prefix!r} candidate hashes onto shard {shard}")
 
 
+def _spec_runs(name, seed, run_seeds):
+    """tcm-labeled runs, one per entry of *run_seeds*, of one small spec."""
+    spec = _small_spec(name, seed)
+    labeler = SkeletonLabeler(spec, "tcm")
+    return [
+        labeler.label_run(generate_run_with_size(spec, 16, seed=s, name=f"r{s}").run)
+        for s in run_seeds
+    ]
+
+
+def _query(database, sql):
+    """Rows of *sql* read straight from one SQLite file."""
+    with closing(sqlite3.connect(database)) as connection:
+        return connection.execute(sql).fetchall()
+
+
 SKEW_SHARDS = 4
 HOT_RUNS = 6
 COLD_RUNS = 2
@@ -179,6 +195,92 @@ class TestRouting:
         # enough distinct names hit more than one of 4 shards
         shards = {shard_of_spec(f"spec-{i}", 4) for i in range(16)}
         assert len(shards) > 1
+
+    def test_placement_survives_a_reopen(self, tmp_path):
+        # the hash is the whole catalog: a fresh handle keeps every stored
+        # run where it was and sends new runs of a spec to the same file
+        names = [_name_on_shard("reopen", shard, 3) for shard in range(3)]
+        runs = [_spec_runs(name, 30 + i, (1, 2, 3)) for i, name in enumerate(names)]
+        directory = tmp_path / "reopened"
+        with ShardedProvenanceStore(directory, 3) as store:
+            first_ids = store.add_labeled_runs(r for rs in runs for r in rs[:2])
+            listing = store.list_runs()
+        with ShardedProvenanceStore(directory) as reopened:
+            assert reopened.list_runs() == listing
+            later_ids = reopened.add_labeled_runs(rs[2] for rs in runs)
+        assert [shard_of_run(run_id, 3) for run_id in later_ids] == [0, 1, 2]
+        assert min(later_ids) > max(first_ids)
+        for shard, name in enumerate(names):
+            assert _query(
+                directory / f"shard-{shard:02d}.db",
+                "SELECT s.name, COUNT(*) FROM runs JOIN specifications s "
+                "USING (spec_id) GROUP BY s.name",
+            ) == [(name, 3)]
+
+    def test_delete_run_touches_only_its_hash_shard(self, tmp_path):
+        directory = tmp_path / "deleting"
+        names = [_name_on_shard("delete", shard, 3) for shard in range(3)]
+        labeled = [
+            run for i, name in enumerate(names) for run in _spec_runs(name, 40 + i, (1, 2))
+        ]
+
+        def rows_per_shard():
+            sql = (
+                "SELECT (SELECT COUNT(*) FROM runs), (SELECT COUNT(*) FROM run_labels)"
+            )
+            return [_query(directory / f"shard-{s:02d}.db", sql)[0] for s in range(3)]
+
+        with ShardedProvenanceStore(directory, 3) as store:
+            ids = store.add_labeled_runs(labeled)
+            before = rows_per_shard()
+            store.delete_run(ids[2])
+            after = rows_per_shard()
+            assert [row["run_id"] for row in store.list_runs()] == sorted(
+                set(ids) - {ids[2]}
+            )
+        owner = shard_of_run(ids[2], 3)
+        assert after[owner][0] == before[owner][0] - 1
+        assert after[owner][1] < before[owner][1]
+        others = [shard for shard in range(3) if shard != owner]
+        assert [after[s] for s in others] == [before[s] for s in others]
+
+
+class TestIdClassRoundUp:
+    """``_next_id`` re-derives a shard's id class from its high-water mark.
+
+    An older build's rolled-back migration can leave a shard's
+    ``sqlite_sequence`` in another shard's class; fresh ids must still be
+    unique and route back to the shard that issued them.
+    """
+
+    @pytest.mark.parametrize("offset", [1, 2])
+    @pytest.mark.parametrize("table", ["runs", "specifications"])
+    def test_fresh_ids_round_up_to_the_shard_class(self, tmp_path, table, offset):
+        name = "round-up"
+        shard = shard_of_spec(name, 3)
+        spec_runs = _spec_runs(name, 21, (1, 2))
+        directory = tmp_path / "round-up"
+        with ShardedProvenanceStore(directory, 3) as store:
+            store.add_labeled_run(spec_runs[0])
+        foreign = (shard + offset) % 3
+        highest = 31 + foreign  # (highest - 1) % 3 == foreign
+        shard_file = directory / f"shard-{shard:02d}.db"
+        with closing(sqlite3.connect(shard_file)) as connection, connection:
+            assert connection.execute(
+                "UPDATE sqlite_sequence SET seq = ? WHERE name = ?", (highest, table)
+            ).rowcount == 1
+        # a second run of the spec allocates a run id; a run of another
+        # spec on the shard allocates a spec id too
+        fresh = spec_runs[1]
+        if table == "specifications":
+            (fresh,) = _spec_runs(_name_on_shard("round-up-other", shard, 3), 22, (2,))
+        with ShardedProvenanceStore(directory) as store:
+            run_id = store.add_labeled_run(fresh)
+            (row,) = [row for row in store.list_runs() if row["run_id"] == run_id]
+            new_id = run_id if table == "runs" else row["spec_id"]
+            assert highest < new_id <= highest + 3
+            assert shard_of_run(new_id, 3) == shard == shard_of_run(run_id, 3)
+            assert store.get_run(run_id).vertex_count == fresh.run.vertex_count
 
 
 class TestConstruction:
