@@ -15,10 +15,11 @@ each query to:
    integer arrays back through a ``BatchQuery`` — the object -> id
    resolution disappears from the hot path;
 4. open the same session API over a :class:`~repro.storage.ProvenanceStore`
-   and answer point, batch and sweep queries from stored labels (one SQL
-   round trip, cached kernels, and **adaptive promotion**: after a few
-   point queries on one run the session switches it from per-pair SQL to
-   the compiled kernel — see ``session.cache_stats()``);
+   and answer point, batch and sweep queries from stored labels (a sweep
+   or a large batch keeps the run **resident** as packed label columns,
+   after which its point queries issue no label SQL; a point query on any
+   other run reads its two labels in one statement — see
+   ``session.cache_stats()``);
 5. sweep **all** runs of the specification at once with a
    :class:`~repro.api.CrossRunQuery` — the spec-side kernel is compiled
    once and every run's label columns stream through it;
@@ -167,14 +168,14 @@ def main() -> None:
             bool(a) for a in stored.run(BatchQuery(pairs=monitored, run_id=run_id))
         ]
 
-        # Adaptive promotion: the first few point queries on a run pay
-        # per-pair SQL; once the run is hot the session promotes it to the
-        # compiled kernel and later point queries replay with zero SQL.
+        # Residency: a sweep or a large batch keeps the run's label columns
+        # in memory, so later point queries on it issue no label SQL; a
+        # point query on a run that is not resident reads its two labels.
         for _ in range(10):
             stored.run(PointQuery(anchor, vertices[2], run_id=run_id))
         stats = stored.cache_stats()
-        print(f"session cache: promoted runs {stats['promoted_runs']} "
-              f"(threshold {stats['promote_after']}), "
+        print(f"session cache: {stats['resident_runs']} resident runs, "
+              f"{stats['resident_bytes']} of {stats['budget_bytes']} bytes, "
               f"{stats['evictions']} evictions")
 
 

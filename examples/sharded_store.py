@@ -103,7 +103,7 @@ def main() -> None:
         stats = store.cache_stats()
         print("cache stats:", {
             key: stats[key]
-            for key in ("shards", "engines_cached", "spec_kernels_cached")
+            for key in ("shards", "resident_runs", "spec_kernels_cached")
         })
 
 

@@ -31,11 +31,10 @@ from repro.api.queries import (
     PointQuery,
     UpstreamQuery,
 )
-from repro.api.session import PROMOTE_AFTER_DEFAULT, ProvenanceSession
+from repro.api.session import ProvenanceSession
 
 __all__ = [
     "ProvenanceSession",
-    "PROMOTE_AFTER_DEFAULT",
     "PointQuery",
     "BatchQuery",
     "DownstreamQuery",

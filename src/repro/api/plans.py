@@ -3,10 +3,10 @@
 :meth:`ProvenanceSession.compile` turns one declarative query
 (:mod:`repro.api.queries`) into a plan bound to the session's target; the
 plan's :meth:`~QueryPlan.execute` can then run any number of times.  The
-expensive state a plan needs — compiled engine kernels, interners, the
-shared per-specification fall-through kernel — lives in caches (on the
-session target or the store), so re-executing a plan pays only the query
-itself.
+expensive state a plan needs — compiled engine kernels, a stored run's
+resident label columns, the shared per-specification fall-through kernel —
+lives on the session target or the store, so re-executing a plan pays only
+the query itself.
 
 Planning decisions read the target's **declared capability flags**
 (:func:`repro.labeling.base.capabilities_of`) — ``handles``,
@@ -34,7 +34,7 @@ from repro.api.queries import (
     UpstreamQuery,
 )
 from repro.engine.parallel import CrossRunExecutor
-from repro.exceptions import LabelingError, QueryPlanError, StorageError
+from repro.exceptions import QueryPlanError
 from repro.labeling.base import capabilities_of
 from repro.workflow.run import RunVertex
 
@@ -44,18 +44,12 @@ __all__ = [
     "HANDLE_PATH_MIN_PAIRS",
 ]
 
-#: stored-run batch workloads at least this large are answered through the
-#: run's cached handle-native engine (full label load + compiled kernel);
-#: smaller batches fetch only the labels behind the queried pairs — loading
-#: a big run's full label set for a handful of interactive queries would
-#: never amortize
+#: stored-run batch workloads at least this large make the run resident
+#: (one fetch of its label columns) and are answered from it; smaller
+#: batches on a run that is not resident fetch only the labels behind the
+#: queried pairs — loading a big run for a handful of interactive queries
+#: would never amortize
 HANDLE_PATH_MIN_PAIRS = 512
-
-#: in "auto" mode, stored runs below this many labeled vertices keep the
-#: streamed-kernel sweep: tiny runs answer in microseconds either way, and
-#: the kernel path's warm label/engine caches then keep serving the
-#: session's point and batch queries for free
-PUSHDOWN_MIN_ROWS = 256
 
 
 def _pushdown_mode(target: Any, query: Any) -> str:
@@ -130,10 +124,8 @@ class _PointPlan(QueryPlan):
         query = self.query
         self._refresh_if_stale()
         if self.target.kind == "store":
-            # per-pair SQL while the run is cold; the target transparently
-            # promotes hot runs to their compiled engine (see
-            # _StoreTarget.point_query and ProvenanceSession.cache_stats)
-            return self.target.point_query(
+            # the run's resident columns, else its two labels by primary key
+            return self.target.store._reaches(
                 self.target.require_run_id(query),
                 _as_execution(query.source),
                 _as_execution(query.target),
@@ -162,29 +154,13 @@ class _BatchPlan(QueryPlan):
             else list(query.pairs)
         )
         if self.target.kind == "store":
-            run_id = self.target.require_run_id(query)
-            store = self.target.store
-            if (
-                len(pairs) >= HANDLE_PATH_MIN_PAIRS
-                or store.has_compiled_engine(run_id)
-            ):
-                # Large (or already-compiled) workloads: intern the whole
-                # batch once against the cached engine and replay handles.
-                engine = store.query_engine(run_id)
-                try:
-                    source_ids, target_ids = engine.intern_pairs(
-                        [
-                            (_as_execution(source), _as_execution(target))
-                            for source, target in pairs
-                        ]
-                    )
-                except LabelingError as exc:
-                    # match the label-fetch path: unknown executions are a
-                    # storage-level error carrying the run context
-                    raise StorageError(f"run {run_id}: {exc}") from None
-                answers = engine.reaches_many_ids(source_ids, target_ids)
-                return answers if isinstance(answers, list) else list(answers)
-            return store._reaches_batch(run_id, pairs)
+            # a resident run answers from its columns; a large workload
+            # makes its run resident first
+            return self.target.store._reaches_batch(
+                self.target.require_run_id(query),
+                pairs,
+                load=len(pairs) >= HANDLE_PATH_MIN_PAIRS,
+            )
         return self.target.engine().reaches_batch(pairs)
 
 
@@ -207,9 +183,8 @@ class _SweepPlan(QueryPlan):
                 except sqlite3.OperationalError:
                     # graceful degradation: a failing SQL path (locked or
                     # corrupted index, injected fault) falls back to the
-                    # streamed kernel, which answers bit-identically —
-                    # applies even under pushdown="always", where degraded
-                    # means slower, never wrong
+                    # run's label columns, which answer bit-identically —
+                    # degraded means slower, never wrong
                     store.note_degraded("pushdown_fallback")
             return store._dependency_sweep(
                 run_id, query.execution, downstream=self.downstream
@@ -224,30 +199,22 @@ class _SweepPlan(QueryPlan):
         return engine.dependency_sweep(query.execution, downstream=self.downstream)
 
     def _use_pushdown(self, store: Any, run_id: int) -> bool:
-        """SQL vs streamed kernel for one stored-run sweep.
+        """SQL vs the run's resident columns for one stored-run sweep.
 
-        ``never`` keeps the kernel; ``always`` demands the pushdown (a plan
-        error on schemes without the capability); ``auto`` pushes down when
-        the run's scheme is capable, the run is big enough for the SQL
-        round trips to win (:data:`PUSHDOWN_MIN_ROWS`), and no compiled
-        engine is already warm (a paid-for kernel beats re-planning).
+        ``always`` demands the pushdown (a plan error on schemes without
+        the capability).  ``auto`` and ``never`` sweep the run's resident
+        columns, loading them first if need be: a load costs about one
+        pushdown sweep, and every later sweep of the run a fraction of one.
         """
-        mode = _pushdown_mode(self.target, self.query)
-        if mode == "never":
+        if _pushdown_mode(self.target, self.query) != "always":
             return False
-        scheme, capable, n_vertices = store.pushdown_profile(run_id)
-        if mode == "always":
-            if not capable:
-                raise QueryPlanError(
-                    f"scheme {scheme!r} does not declare the SQL pushdown "
-                    "capability; use pushdown='auto' or 'never'"
-                )
-            return True
-        return (
-            capable
-            and n_vertices >= PUSHDOWN_MIN_ROWS
-            and not store.has_compiled_engine(run_id)
-        )
+        scheme, capable = store.pushdown_profile(run_id)
+        if not capable:
+            raise QueryPlanError(
+                f"scheme {scheme!r} does not declare the SQL pushdown "
+                "capability; use pushdown='auto' or 'never'"
+            )
+        return True
 
 
 class _DownstreamPlan(_SweepPlan):

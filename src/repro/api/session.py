@@ -31,14 +31,9 @@ from typing import Any, Iterable, Optional
 from repro.api.plans import QueryPlan, compile_plan
 from repro.api.queries import PUSHDOWN_MODES, BatchQuery, PointQuery
 from repro.engine.query import QueryEngine
-from repro.exceptions import LabelingError, QueryPlanError, StorageError
+from repro.exceptions import QueryPlanError
 
-__all__ = ["ProvenanceSession", "PROMOTE_AFTER_DEFAULT"]
-
-#: after this many point queries against one stored run the session
-#: transparently promotes the run from per-pair SQL to its compiled
-#: QueryEngine (configurable per session via ``promote_after``)
-PROMOTE_AFTER_DEFAULT = 8
+__all__ = ["ProvenanceSession"]
 
 
 class _IndexTarget:
@@ -105,38 +100,23 @@ class _OnlineTarget:
 class _StoreTarget:
     """A provenance store; queries carry the run id they address.
 
-    The target also hosts the session's **adaptive promotion** policy for
-    point queries: a cold run answers each pair with per-pair SQL (two
-    label SELECTs — the right trade for a handful of interactive queries),
-    but once a run has absorbed ``promote_after`` point queries the target
-    promotes it to the store's compiled :class:`QueryEngine`, after which
-    point queries replay through the engine's label cache and hot-pair LRU
-    with **zero** SQL.
+    Which label source answers a single-run query — the run's resident
+    columns or a primary-key fetch of just the queried labels — is the
+    store's choice (see :mod:`repro.storage.store`); the target only
+    carries the session's default pushdown mode.
     """
 
     kind = "store"
 
-    def __init__(
-        self,
-        store: Any,
-        promote_after: int = PROMOTE_AFTER_DEFAULT,
-        pushdown: str = "auto",
-    ) -> None:
+    def __init__(self, store: Any, pushdown: str = "auto") -> None:
         self.store = store
-        if promote_after < 1:
-            raise QueryPlanError(
-                f"promote_after must be a positive integer, got {promote_after}"
-            )
         if pushdown not in PUSHDOWN_MODES:
             raise QueryPlanError(
                 f"pushdown must be one of {PUSHDOWN_MODES}, got {pushdown!r}"
             )
-        self.promote_after = int(promote_after)
         #: the session-wide default the sweep planner reads when a query
         #: carries no per-query ``pushdown`` override
         self.pushdown = pushdown
-        self._point_hits: dict[int, int] = {}
-        self._promoted: set[int] = set()
 
     def require_run_id(self, query: Any) -> int:
         if query.run_id is None:
@@ -146,36 +126,14 @@ class _StoreTarget:
             )
         return int(query.run_id)
 
-    def point_query(self, run_id: int, source: tuple, target: tuple) -> bool:
-        """One point query, promoted to the compiled engine once hot."""
-        if run_id not in self._promoted:
-            hits = self._point_hits.get(run_id, 0) + 1
-            self._point_hits[run_id] = hits
-            if hits < self.promote_after:
-                return self.store._reaches(run_id, source, target)
-            self._promoted.add(run_id)
-            # warm the engine now (one SQL round trip for the full label
-            # set); every later point query on this run is SQL-free
-        try:
-            return self.store.query_engine(run_id).reaches(source, target)
-        except LabelingError as exc:
-            # match the cold per-pair path's error contract: unknown
-            # executions are a storage-level error carrying the run context,
-            # before and after promotion alike
-            raise StorageError(f"run {run_id}: {exc}") from None
-
     def version_token(self):
-        """Stores have no single token: each cached run view versions itself."""
+        """Stores have no single token: resident runs track the file's writes."""
         return None
 
     def cache_stats(self) -> dict:
         return {
             "target_kind": self.kind,
-            "promote_after": self.promote_after,
             "pushdown_mode": self.pushdown,
-            "point_hits": dict(self._point_hits),
-            "promoted_runs": sorted(self._promoted),
-            "promotions": len(self._promoted),
             **self.store.cache_stats(),
         }
 
@@ -194,19 +152,11 @@ class ProvenanceSession:
     :meth:`for_index` / :meth:`for_online` constructors skip the sniffing.
     """
 
-    def __init__(
-        self,
-        target: Any,
-        *,
-        promote_after: int = PROMOTE_AFTER_DEFAULT,
-        pushdown: str = "auto",
-    ) -> None:
+    def __init__(self, target: Any, *, pushdown: str = "auto") -> None:
         if target is None:
             raise QueryPlanError("ProvenanceSession needs a query target")
         if hasattr(target, "query_engine") and hasattr(target, "list_runs"):
-            self._target = _StoreTarget(
-                target, promote_after=promote_after, pushdown=pushdown
-            )
+            self._target = _StoreTarget(target, pushdown=pushdown)
         elif hasattr(target, "query_view") and hasattr(target, "version_token"):
             self._target = _OnlineTarget(target)
         elif hasattr(target, "label_of") and hasattr(target, "reaches_labels"):
@@ -241,14 +191,13 @@ class ProvenanceSession:
         return self._target.kind
 
     def cache_stats(self) -> dict:
-        """Occupancy, promotion and eviction statistics of the session's caches.
+        """Occupancy and eviction statistics of the session's caches.
 
-        For store-backed sessions this reports the adaptive point-query
-        promotion state (per-run hit counters, promoted runs, the
-        ``promote_after`` threshold) merged with the store's cache
-        occupancy and LRU eviction counters; for online sessions it
-        reports the incremental kernel's extension/rebuild counters; for
-        plain index sessions, the engine's query counters.
+        For store-backed sessions this reports the pushdown mode merged
+        with the store's resident-run occupancy, byte budget and eviction
+        counter; for online sessions it reports the incremental kernel's
+        extension/rebuild counters; for plain index sessions, the engine's
+        query counters.
         """
         target = self._target
         if target.kind == "store":

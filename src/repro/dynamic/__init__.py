@@ -19,8 +19,8 @@ flag); this package supplies the machinery behind it:
 
 Invalidation is by version token: every applied update bumps the graph's
 ``update_version``, which the index mirrors and every derived layer
-(compiled kernels, hot-pair caches, session plans, stored-run views)
-snapshots and re-checks.  A mutated index therefore never serves a
+(compiled kernels, hot-pair caches, session plans) snapshots and
+re-checks.  A mutated index therefore never serves a
 pre-update answer from any cache.
 """
 

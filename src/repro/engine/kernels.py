@@ -17,8 +17,8 @@ they offer two entry points:
 :func:`build_kernel` picks the best kernel available for an index:
 
 * ``numpy-skl`` — any index with the skeleton surface
-  (:class:`~repro.skeleton.skl.SkeletonLabeledRun` and the provenance
-  store's cached stored-run indexes, marked ``kernel_hint = "skl"``): the
+  (:class:`~repro.skeleton.skl.SkeletonLabeledRun`, marked
+  ``kernel_hint = "skl"``): the
   three context coordinates live in integer arrays, Algorithm 3's fork/loop
   fast path is evaluated vectorized, and the skeleton fall-through becomes
   one fancy-indexing probe of a dense specification reachability matrix
@@ -43,6 +43,10 @@ they offer two entry points:
   ``reaches_many`` batch path (which for the traversal schemes groups
   queries by source over a :class:`~repro.graphs.csr.CSRGraph`).
 
+A target declaring ``kernel_hint = "columns"`` (a provenance store's
+resident label columns) is its own kernel: it evaluates batches through
+:meth:`SpecKernel.pairs`, with or without numpy.
+
 Kernels are internal to :mod:`repro.engine`; the public surface is
 :class:`~repro.engine.query.QueryEngine`.
 """
@@ -66,10 +70,9 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
 
 __all__ = [
     "build_kernel",
+    "check_handles",
     "SpecKernel",
     "compile_spec_kernel",
-    "dense_sweep_answers",
-    "dense_pair_answers",
     "HAS_NUMPY",
     "DENSE_SPEC_LIMIT",
     "PACKED_TCM_LIMIT",
@@ -100,14 +103,16 @@ def build_kernel(index: Any, *, spec_kernel: Optional["SpecKernel"] = None):
     Dispatch reads the index's declared ``kernel_hint`` capability flag
     (see :func:`repro.labeling.base.capabilities_of`) rather than testing
     concrete classes, so any duck-typed target that declares a kernel
-    family — the stored-run views, the online-run adapter — compiles the
-    same specialized kernel as the class that family was written for.
+    family — the online-run adapter, a store's resident run — compiles
+    the same specialized kernel as the class that family was written for.
 
     *spec_kernel* optionally supplies a precompiled :class:`SpecKernel`
     for skeleton-labeled targets, so sweeps over many runs of one
     specification pay the spec-side compilation exactly once.
     """
     hint = getattr(index, "kernel_hint", None)
+    if hint == "columns":
+        return index
     if _np is not None:
         if hint == "skl":
             return _SkeletonKernel(index, spec_kernel=spec_kernel)
@@ -204,25 +209,39 @@ class _ArrayKernel:
         return self._evaluate(a, b).tolist()
 
     def batch_ids(self, source_ids, target_ids):
-        a = _np.asarray(source_ids, dtype=_np.int64)
-        b = _np.asarray(target_ids, dtype=_np.int64)
-        if a.shape != b.shape or a.ndim != 1:
-            raise LabelingError(
-                "source_ids and target_ids must be parallel one-dimensional "
-                f"sequences (got shapes {a.shape} and {b.shape})"
-            )
-        if a.size:
-            for ids in (a, b):
-                low = int(ids.min())
-                high = int(ids.max())
-                if low < 0 or high >= self._size:
-                    raise LabelingError(
-                        f"unknown vertex handle: {low if low < 0 else high!r}"
-                    )
-        return self._evaluate(a, b)
+        return self._evaluate(*check_handles(source_ids, target_ids, self._size))
 
     def _evaluate(self, a, b):  # pragma: no cover - subclasses implement
         raise NotImplementedError
+
+
+def check_handles(source_ids, target_ids, size: int):
+    """Validate two parallel handle sequences into a universe of *size*.
+
+    Returns them as ``int64`` arrays with numpy (unchanged without); a
+    shape mismatch or a handle outside ``0 .. size-1`` raises
+    :class:`~repro.exceptions.LabelingError`.
+    """
+    if _np is not None:
+        source_ids = _np.asarray(source_ids, dtype=_np.int64)
+        target_ids = _np.asarray(target_ids, dtype=_np.int64)
+    shapes = [ids.shape if _np is not None else (len(ids),) for ids in (source_ids, target_ids)]
+    if shapes[0] != shapes[1] or len(shapes[0]) != 1:
+        raise LabelingError(
+            "source_ids and target_ids must be parallel one-dimensional "
+            f"sequences (got shapes {shapes[0]} and {shapes[1]})"
+        )
+    for ids in (source_ids, target_ids):
+        if len(ids):
+            low, high = (
+                (int(ids.min()), int(ids.max())) if _np is not None
+                else (min(ids), max(ids))
+            )
+            if low < 0 or high >= size:
+                raise LabelingError(
+                    f"unknown vertex handle: {low if low < 0 else high!r}"
+                )
+    return source_ids, target_ids
 
 
 def _pack_closure_rows(rows: Sequence[int], size: int):
@@ -287,41 +306,6 @@ def _spec_reachability_matrix(spec_index: Any):
 _MISSING = object()
 
 
-def dense_sweep_answers(matrix, q1, q2, q3, orig, anchor, downstream):
-    """Anchored Algorithm-3 sweep over raw arrays + a dense spec matrix.
-
-    The one implementation of the dense sweep formula, called by
-    :meth:`SpecKernel.sweep`.  The anchor's own row is forced ``False`` per
-    the dependency-sweep contract.
-    """
-    q1a, q2a, q3a = int(q1[anchor]), int(q2[anchor]), int(q3[anchor])
-    if downstream:
-        fast_mask = (q2a - q2) * (q3a - q3) < 0
-        fast = (q1a < q1) & (q3a > q3)
-        skeleton = matrix[orig[anchor], orig]
-    else:
-        fast_mask = (q2 - q2a) * (q3 - q3a) < 0
-        fast = (q1 < q1a) & (q3 > q3a)
-        skeleton = matrix[orig, orig[anchor]]
-    answers = _np.where(fast_mask, fast, skeleton)
-    answers[anchor] = False
-    return answers
-
-
-def dense_pair_answers(matrix, q1, q2, q3, orig, source_rows, target_rows):
-    """Arbitrary-pair Algorithm-3 evaluation over raw arrays + a dense matrix.
-
-    The dense counterpart of :func:`dense_sweep_answers` for
-    :meth:`SpecKernel.pairs`.
-    """
-    q2s, q2t = q2[source_rows], q2[target_rows]
-    q3s, q3t = q3[source_rows], q3[target_rows]
-    fast_mask = (q2s - q2t) * (q3s - q3t) < 0
-    fast = (q1[source_rows] < q1[target_rows]) & (q3s > q3t)
-    skeleton = matrix[orig[source_rows], orig[target_rows]]
-    return _np.where(fast_mask, fast, skeleton)
-
-
 class SpecKernel:
     """The compiled skeleton fall-through evaluator of one specification index.
 
@@ -349,6 +333,14 @@ class SpecKernel:
             self.matrix, self.position_of = _spec_reachability_matrix(spec_index)
         else:
             self.matrix, self.position_of = None, None
+        if self.position_of is None:
+            self.position_of = {
+                module: i for i, module in enumerate(spec_index.graph.vertices())
+            }
+        #: position -> module name, the inverse of ``position_of``; origins
+        #: travel as positions, so fall-throughs without a dense matrix
+        #: resolve their spec labels through it
+        self.modules = sorted(self.position_of, key=self.position_of.__getitem__)
         self._label_cache: dict = {}
 
     @property
@@ -361,7 +353,13 @@ class SpecKernel:
         return SpecKernel(self.spec_index)
 
     def origin_positions(self, modules: Sequence):
-        """Map origin module names to dense-matrix positions (dense only)."""
+        """Map origin module names to positions: the ``origins`` of sweep and pairs.
+
+        A position is the module's row in the dense matrix when there is
+        one, and its index in :attr:`modules` always.
+        """
+        if _np is None:
+            return list(map(self.position_of.__getitem__, modules))
         return _np.fromiter(
             map(self.position_of.__getitem__, modules),
             dtype=_np.int64,
@@ -390,56 +388,79 @@ class SpecKernel:
         """Anchored Algorithm-3 sweep over one run's streamed label arrays.
 
         ``q1``/``q2``/``q3`` are the run's parallel context-coordinate
-        arrays (one slot per execution, any row order), *origins* the
-        parallel origin-module names, *anchor* the row of the anchored
+        arrays (one slot per execution, any row order, any integer width),
+        *origins* the parallel origin-module positions
+        (:meth:`origin_positions`), *anchor* the row of the anchored
         execution.  Returns one answer per row — ``reaches(anchor, row)``
         when *downstream*, ``reaches(row, anchor)`` otherwise — with the
         anchor's own row forced ``False``, matching the dependency-sweep
         contract of excluding the anchor itself.
         """
         if _np is not None:
-            q1 = _np.asarray(q1, dtype=_np.int64)
-            q2 = _np.asarray(q2, dtype=_np.int64)
-            q3 = _np.asarray(q3, dtype=_np.int64)
-            if self.matrix is not None:
-                return dense_sweep_answers(
-                    self.matrix,
-                    q1,
-                    q2,
-                    q3,
-                    self.origin_positions(origins),
-                    anchor,
-                    downstream,
-                )
-            q1a = int(q1[anchor])
-            q2a = int(q2[anchor])
-            q3a = int(q3[anchor])
+            q1, q2, q3 = (_np.asarray(q, dtype=_np.int64) for q in (q1, q2, q3))
+            q1a, q2a, q3a = int(q1[anchor]), int(q2[anchor]), int(q3[anchor])
             if downstream:
                 fast_mask = (q2a - q2) * (q3a - q3) < 0
                 fast = (q1a < q1) & (q3a > q3)
             else:
                 fast_mask = (q2 - q2a) * (q3 - q3a) < 0
                 fast = (q1 < q1a) & (q3 > q3a)
+            if self.matrix is not None:
+                origins = _np.asarray(origins)
+                if downstream:
+                    skeleton = self.matrix[origins[anchor], origins]
+                else:
+                    skeleton = self.matrix[origins, origins[anchor]]
+                answers = _np.where(fast_mask, fast, skeleton)
+                answers[anchor] = False
+                return answers
             answers = fast & fast_mask
             fallthrough = _np.flatnonzero(~fast_mask).tolist()
-            if fallthrough:
-                anchor_label = self._label_of(origins[anchor])
-                if downstream:
-                    pairs = [
-                        (anchor_label, self._label_of(origins[i]))
-                        for i in fallthrough
-                    ]
-                else:
-                    pairs = [
-                        (self._label_of(origins[i]), anchor_label)
-                        for i in fallthrough
-                    ]
-                spec_answers = self.spec_index.reaches_many(pairs)
-                for i, answer in zip(fallthrough, spec_answers):
-                    answers[i] = answer
+            for i, answer in zip(
+                fallthrough,
+                self._sweep_fallthrough(origins, anchor, fallthrough, downstream),
+            ):
+                answers[i] = answer
             answers[anchor] = False
             return answers
         return self._sweep_python(q1, q2, q3, origins, anchor, downstream)
+
+    def _spec_labels(self, origins, rows) -> list:
+        """The spec labels of the origin modules at *rows*."""
+        if _np is not None:
+            positions = _np.asarray(origins)[rows].tolist()
+        else:
+            positions = [origins[row] for row in rows]
+        return list(map(self._label_of, map(self.modules.__getitem__, positions)))
+
+    def _sweep_fallthrough(self, origins, anchor, rows, downstream):
+        """Spec-label answers for a sweep's fall-through *rows*, in order."""
+        if not rows:
+            return []
+        (anchor_label,) = self._spec_labels(origins, [anchor])
+        labels = self._spec_labels(origins, rows)
+        if downstream:
+            return self.spec_index.reaches_many([(anchor_label, l) for l in labels])
+        return self.spec_index.reaches_many([(l, anchor_label) for l in labels])
+
+    def _pairs_fallthrough(self, origins, source_rows, target_rows, slots):
+        """Spec-label answers for the fall-through *slots* of a pair batch."""
+        if not slots:
+            return []
+        if _np is not None:
+            sources = _np.asarray(source_rows)[slots]
+            targets = _np.asarray(target_rows)[slots]
+        else:
+            sources = [source_rows[i] for i in slots]
+            targets = [target_rows[i] for i in slots]
+        return self.spec_index.reaches_many(
+            list(
+                zip(
+                    self._spec_labels(origins, sources),
+                    self._spec_labels(origins, targets),
+                )
+            )
+        )
 
     def pairs(self, q1, q2, q3, origins, source_rows, target_rows):
         """Arbitrary-pair Algorithm-3 evaluation over one run's streamed arrays.
@@ -455,30 +476,22 @@ class SpecKernel:
         its streamed label columns.
         """
         if _np is not None:
-            q1 = _np.asarray(q1, dtype=_np.int64)
-            q2 = _np.asarray(q2, dtype=_np.int64)
-            q3 = _np.asarray(q3, dtype=_np.int64)
+            q1, q2, q3 = (_np.asarray(q, dtype=_np.int64) for q in (q1, q2, q3))
             s = _np.asarray(source_rows, dtype=_np.int64)
             t = _np.asarray(target_rows, dtype=_np.int64)
-            if self.matrix is not None:
-                return dense_pair_answers(
-                    self.matrix, q1, q2, q3, self.origin_positions(origins), s, t
-                )
             q2s, q2t = q2[s], q2[t]
             q3s, q3t = q3[s], q3[t]
             fast_mask = (q2s - q2t) * (q3s - q3t) < 0
             fast = (q1[s] < q1[t]) & (q3s > q3t)
+            if self.matrix is not None:
+                origins = _np.asarray(origins)
+                return _np.where(fast_mask, fast, self.matrix[origins[s], origins[t]])
             answers = fast & fast_mask
             fallthrough = _np.flatnonzero(~fast_mask).tolist()
-            if fallthrough:
-                label_pairs = [
-                    (self._label_of(origins[s[i]]), self._label_of(origins[t[i]]))
-                    for i in fallthrough
-                ]
-                for i, answer in zip(
-                    fallthrough, self.spec_index.reaches_many(label_pairs)
-                ):
-                    answers[i] = answer
+            for i, answer in zip(
+                fallthrough, self._pairs_fallthrough(origins, s, t, fallthrough)
+            ):
+                answers[i] = answer
             return answers
         return self._pairs_python(q1, q2, q3, origins, source_rows, target_rows)
 
@@ -491,31 +504,31 @@ class SpecKernel:
                 answers[slot] = q1[s] < q1[t] and q3[s] > q3[t]
             else:
                 fallthrough.append(slot)
-        if fallthrough:
-            label_pairs = [
-                (
-                    self._label_of(origins[source_rows[i]]),
-                    self._label_of(origins[target_rows[i]]),
-                )
-                for i in fallthrough
-            ]
-            for i, answer in zip(fallthrough, self.spec_index.reaches_many(label_pairs)):
-                answers[i] = answer
+        for i, answer in zip(
+            fallthrough,
+            self._pairs_fallthrough(origins, source_rows, target_rows, fallthrough),
+        ):
+            answers[i] = answer
         return answers
 
-    def pair_fallthrough(self, source_origin, target_origin) -> bool:
-        """One scalar skeleton fall-through check (the non-fast-path case)."""
+    def pair_fallthrough(self, source_origin: int, target_origin: int) -> bool:
+        """One scalar skeleton fall-through check between two origin positions."""
         if self.matrix is not None:
-            return bool(
-                self.matrix[
-                    self.position_of[source_origin], self.position_of[target_origin]
-                ]
-            )
+            return bool(self.matrix[source_origin, target_origin])
         return bool(
             self.spec_index.reaches_labels(
-                self._label_of(source_origin), self._label_of(target_origin)
+                self._label_of(self.modules[source_origin]),
+                self._label_of(self.modules[target_origin]),
             )
         )
+
+    def point(self, source, target, source_origin: int, target_origin: int) -> bool:
+        """Scalar Algorithm 3: two ``(q1, q2, q3)`` labels and their origin positions."""
+        q1s, q2s, q3s = source
+        q1t, q2t, q3t = target
+        if (q2s - q2t) * (q3s - q3t) < 0:
+            return bool(q1s < q1t and q3s > q3t)
+        return self.pair_fallthrough(source_origin, target_origin)
 
     def _sweep_python(self, q1, q2, q3, origins, anchor, downstream):
         """Pure-python sweep used when numpy is unavailable."""
@@ -534,18 +547,11 @@ class SpecKernel:
                 answers[i] = fast
             else:
                 fallthrough.append(i)
-        if fallthrough:
-            anchor_label = self._label_of(origins[anchor])
-            if downstream:
-                pairs = [
-                    (anchor_label, self._label_of(origins[i])) for i in fallthrough
-                ]
-            else:
-                pairs = [
-                    (self._label_of(origins[i]), anchor_label) for i in fallthrough
-                ]
-            for i, answer in zip(fallthrough, self.spec_index.reaches_many(pairs)):
-                answers[i] = answer
+        for i, answer in zip(
+            fallthrough,
+            self._sweep_fallthrough(origins, anchor, fallthrough, downstream),
+        ):
+            answers[i] = answer
         answers[anchor] = False
         return answers
 

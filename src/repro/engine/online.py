@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Iterable
 
-from repro.engine.kernels import compile_spec_kernel
+from repro.engine.kernels import check_handles, compile_spec_kernel
 from repro.engine.query import DEFAULT_CACHE_SIZE
 from repro.exceptions import LabelingError
 
@@ -86,7 +86,7 @@ class OnlineKernel:
         self._view = online.query_view()
         self._vertices: list = []
         self._id_of: dict = {}
-        self._origins: list[str] = []
+        self._origins: list[int] = []
         self._count = 0
         self._capacity = 0
         self._plan_len = -1
@@ -145,7 +145,8 @@ class OnlineKernel:
         size = len(context)
         self._vertices = list(context)
         self._id_of = {vertex: i for i, vertex in enumerate(self._vertices)}
-        self._origins = [vertex.module for vertex in self._vertices]
+        position_of = self._spec_kernel.position_of
+        self._origins = [position_of[vertex.module] for vertex in self._vertices]
         self._capacity = max(8, size)
         if _np is not None:
             self._q1 = _np.empty(self._capacity, dtype=_np.int64)
@@ -173,7 +174,7 @@ class OnlineKernel:
         self._q1[i], self._q2[i], self._q3[i] = position
         self._vertices.append(vertex)
         self._id_of[vertex] = i
-        self._origins.append(vertex.module)
+        self._origins.append(self._spec_kernel.position_of[vertex.module])
         self._count = i + 1
 
     def _grow(self) -> None:
@@ -290,12 +291,12 @@ class OnlineKernel:
 
     def _pair_answer(self, source_id: int, target_id: int) -> bool:
         """Scalar Algorithm 3 over the compiled rows (fast path + fall-through)."""
-        q2s, q2t = self._q2[source_id], self._q2[target_id]
-        q3s, q3t = self._q3[source_id], self._q3[target_id]
-        if (q2s - q2t) * (q3s - q3t) < 0:
-            return bool(self._q1[source_id] < self._q1[target_id] and q3s > q3t)
-        return self._spec_kernel.pair_fallthrough(
-            self._origins[source_id], self._origins[target_id]
+        q1, q2, q3 = self._q1, self._q2, self._q3
+        return self._spec_kernel.point(
+            (q1[source_id], q2[source_id], q3[source_id]),
+            (q1[target_id], q2[target_id], q3[target_id]),
+            self._origins[source_id],
+            self._origins[target_id],
         )
 
     def reaches_batch(self, pairs: Iterable) -> list:
@@ -308,22 +309,7 @@ class OnlineKernel:
     def reaches_many_ids(self, source_ids, target_ids):
         """Answer a pre-interned batch of append-order handles."""
         self.sync()
-        if _np is not None:
-            source_ids = _np.asarray(source_ids, dtype=_np.int64)
-            target_ids = _np.asarray(target_ids, dtype=_np.int64)
-            if source_ids.shape != target_ids.shape or source_ids.ndim != 1:
-                raise LabelingError(
-                    "source_ids and target_ids must be parallel one-dimensional "
-                    f"sequences (got shapes {source_ids.shape} and {target_ids.shape})"
-                )
-        for ids in (source_ids, target_ids):
-            if len(ids):
-                low, high = min(ids), max(ids)
-                if low < 0 or high >= self._count:
-                    raise LabelingError(
-                        f"unknown vertex handle: {low if low < 0 else high!r}"
-                    )
-        return self._evaluate_rows(source_ids, target_ids)
+        return self._evaluate_rows(*check_handles(source_ids, target_ids, self._count))
 
     def _rows(self):
         """The live portion of the capacity-doubled coordinate arrays.

@@ -407,7 +407,7 @@ class CrossRunExecutor:
                 arrays.q1,
                 arrays.q2,
                 arrays.q3,
-                arrays.origins,
+                kernel.origin_positions(arrays.origins),
                 anchor_row,
                 downstream=downstream,
             )
@@ -516,7 +516,7 @@ class CrossRunExecutor:
             for execution in pair:
                 row_of.setdefault(execution, len(row_of))
         endpoints = list(row_of)
-        origins = [module for module, _ in endpoints]
+        modules = [module for module, _ in endpoints]
         source_rows = [row_of[source] for source, _ in pairs]
         target_rows = [row_of[target] for _, target in pairs]
         coordinates: dict[int, dict] = {}
@@ -534,8 +534,9 @@ class CrossRunExecutor:
                 skipped.append(run_id)
                 continue
             q1, q2, q3 = zip(*rows)
-            answers = self.store.spec_kernel(run_id).pairs(
-                q1, q2, q3, origins, source_rows, target_rows
+            kernel = self.store.spec_kernel(run_id)
+            answers = kernel.pairs(
+                q1, q2, q3, kernel.origin_positions(modules), source_rows, target_rows
             )
             per_run[run_id] = [bool(answer) for answer in answers]
         return per_run, skipped

@@ -31,7 +31,9 @@ The engine works with anything exposing the ``(D, φ, π)`` duck type —
 ``reaches_many`` and the :class:`~repro.labeling.base.VertexHandleAPI`
 handle surface) — i.e. every
 :class:`~repro.labeling.base.ReachabilityIndex` and
-:class:`~repro.skeleton.skl.SkeletonLabeledRun`.
+:class:`~repro.skeleton.skl.SkeletonLabeledRun` — and over a provenance
+store's resident runs, whose label columns are their own kernel
+(``kernel_hint = "columns"``).
 """
 
 from __future__ import annotations
@@ -143,8 +145,7 @@ class QueryEngine:
         Optional precompiled :class:`~repro.engine.kernels.SpecKernel` for
         skeleton-labeled indexes.  Engines over many runs of one
         specification can share it so the spec-side compilation (the dense
-        fall-through matrix) is paid once, not per engine; the provenance
-        store passes its per-spec cache entry here.
+        fall-through matrix) is paid once, not per engine.
     """
 
     def __init__(

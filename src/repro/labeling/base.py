@@ -43,7 +43,7 @@ class QueryCapabilities:
     The session planner (:mod:`repro.api`) and the engine's kernel
     compiler read these *declared* capabilities instead of testing concrete
     classes, so any object with the ``(D, φ, π)`` duck type — an index, a
-    labeled run, a stored-run view, an online-run adapter — plugs into the
+    labeled run, a store's resident run, an online-run adapter — plugs into the
     same plans by setting the corresponding class attributes.
     """
 
@@ -255,7 +255,7 @@ class ReachabilityIndex(VertexHandleAPI, abc.ABC):
     #: :meth:`insert_edge` / :meth:`delete_edge`.  ``True`` for every
     #: registered scheme (each has a delta strategy or a dirty-region
     #: fallback in :mod:`repro.dynamic`); duck-typed targets that predate
-    #: the update surface — labeled runs, stored-run views — default to
+    #: the update surface — labeled runs, resident stored runs — default to
     #: ``False`` and reject updates.
     mutable: bool = False
 
@@ -310,7 +310,7 @@ class ReachabilityIndex(VertexHandleAPI, abc.ABC):
         The sibling of ``vertex_version`` on the edge axis: it follows the
         underlying graph's :attr:`~repro.graphs.digraph.DiGraph.update_version`
         counter, so anything compiled from this index's labels (engine
-        kernels, hot-pair caches, session plans, stored-run views) can
+        kernels, hot-pair caches, session plans) can
         snapshot the token and recompile when it moves.
         """
         return getattr(self._graph, "update_version", 0)

@@ -8,8 +8,9 @@ and exposes the slice of the store surface the CLI and examples rely on
 ``compile`` / ``cache_stats`` / ``target_kind`` — so code written against
 an in-process session runs unchanged against ``repro://host:port/``
 targets.  Answers are **bit-identical** to an in-process session over the
-same store: the session state (adaptive promotion, compiled kernels)
-lives server-side, pinned to this connection.
+same store: the session state lives server-side, pinned to this
+connection, and the store's resident runs and compiled kernels are the
+server's.
 
 Batch queries take the fast lane: a handle-native
 :class:`~repro.api.BatchQuery` is encoded with
@@ -514,8 +515,8 @@ class RemoteSession:
     """The :class:`~repro.api.ProvenanceSession` duck type over the wire.
 
     Each declarative query maps to one protocol op; the server answers it
-    through a real per-connection session, so promotion and kernel state
-    accumulate exactly as they would in-process.  ``compile`` returns a
+    through a real per-connection session, so resident runs and kernel
+    state accumulate exactly as they would in-process.  ``compile`` returns a
     plan that re-sends the query — the expensive compiled state the plan
     represents lives (and persists) server-side.
     """

@@ -6,8 +6,7 @@ with the length-prefixed binary protocol of
 :mod:`repro.server.protocol`.  The design follows three rules:
 
 * **The event-loop thread is the store thread.**  The store's caches
-  (label LRUs, compiled engines, adaptive promotion counters) are plain
-  dicts with no locking, so every store operation — queries, ingest
+  (resident label columns, spec kernels) are plain dicts with no locking, so every store operation — queries, ingest
   flushes, opening the store when the server was given a path — runs
   inline on the one thread that runs the event loop.  Concurrency across
   connections comes from asyncio interleaving at the request boundary,
@@ -18,10 +17,10 @@ with the length-prefixed binary protocol of
   connection until it returns.
 * **Per-connection session state.**  Each connection owns a
   :class:`~repro.api.ProvenanceSession` that lives as long as the
-  connection, so adaptive point-query promotion and the store's compiled
-  ``SpecKernel``/engine caches stay warm across requests — a monitoring
-  client re-asking the same run pays compilation once, like an
-  in-process session would.  Ingest requests buffer per connection and
+  connection; the store's resident runs and compiled ``SpecKernel``
+  cache are shared by every connection and stay warm across requests —
+  a monitoring client re-asking the same run pays its load once, like
+  an in-process session would.  Ingest requests buffer per connection and
   flush through ``add_labeled_runs`` (the sharded store's concurrent
   per-shard commit path) when the client asks or the buffer reaches
   ``ingest_flush_after``; whatever is still buffered at disconnect is
@@ -61,7 +60,7 @@ from repro.api.queries import (
     PointQuery,
     UpstreamQuery,
 )
-from repro.api.session import PROMOTE_AFTER_DEFAULT, ProvenanceSession
+from repro.api.session import ProvenanceSession
 from repro.api.workload import decode_pair_workload
 from repro.exceptions import ProtocolError, ReproError
 from repro.server import protocol as wire
@@ -131,9 +130,8 @@ class ProvenanceServer:
         :meth:`stop`.
     host / port:
         Bind address; port 0 picks a free port (see :attr:`address`).
-    ingest_flush_after / promote_after:
-        The ingest buffer threshold, and the adaptive promotion threshold
-        handed to each connection's session.
+    ingest_flush_after:
+        The ingest buffer threshold.
     """
 
     def __init__(
@@ -145,7 +143,6 @@ class ProvenanceServer:
         host: str = "127.0.0.1",
         port: int = 0,
         ingest_flush_after: int = INGEST_FLUSH_AFTER_DEFAULT,
-        promote_after: int = PROMOTE_AFTER_DEFAULT,
     ) -> None:
         if (store is None) == (path is None):
             raise ValueError("ProvenanceServer takes exactly one of store or path")
@@ -160,7 +157,6 @@ class ProvenanceServer:
         self.host = host
         self.port = port
         self.ingest_flush_after = int(ingest_flush_after)
-        self.promote_after = int(promote_after)
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[_Connection] = set()
         self._stopped = False
@@ -268,10 +264,7 @@ class ProvenanceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        state = _Connection(
-            ProvenanceSession(self._store, promote_after=self.promote_after),
-            writer,
-        )
+        state = _Connection(ProvenanceSession(self._store), writer)
         self._connections.add(state)
         try:
             # a connection accepted just before stop() starts after stop()

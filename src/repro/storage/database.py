@@ -65,7 +65,7 @@ def iter_value_chunks(values, *, columns_per_row: int = 1, reserved: int = 0):
     """Split *values* into ``IN``-list chunks under the host-parameter limit.
 
     The one chunking loop behind every batched ``IN`` in the store — the
-    label fetches of ``_StoredRunIndex``, the streaming array loader, and
+    primary-key label lookups, the streaming array loader, and
     the SQL pushdown's run/module lists all size their chunks here.  Yields
     ``(chunk, placeholders)`` pairs where *placeholders* is the ready-made
     fragment for the ``IN (...)`` clause: ``"?, ?, ?"`` for single-column

@@ -19,8 +19,8 @@ a single caller:
   no catalog lookup, ids are dense across shards, and a one-shard store
   degenerates to the single-file numbering.  Because the shard files carry
   the *global* ids in their rows, every fetch helper
-  (:func:`~repro.storage.store.load_label_arrays`, the engine caches, the
-  persisted interner handles) works on a shard file unchanged.
+  (:func:`~repro.storage.store.load_label_arrays`, the resident runs,
+  the persisted interner handles) works on a shard file unchanged.
 * **Write path** — :meth:`add_labeled_runs` groups a batch by shard and
   commits each shard's sub-batch **concurrently** on a thread pool opened
   for the call (at most one thread per shard touched): one task per shard,
@@ -29,7 +29,7 @@ a single caller:
   lock serializes the writers of one shard (SQLite would anyway), so
   batches interleave safely with synchronous writes.
 * **Read path** — everything else delegates to an inner per-shard
-  :class:`~repro.storage.store.ProvenanceStore` (whose caches, engines and
+  :class:`~repro.storage.store.ProvenanceStore` (whose resident runs and
   spec kernels work per shard exactly as before), routed by run id or
   specification name.  ``store.session()`` hands back a normal
   :class:`~repro.api.ProvenanceSession`; every declarative query —
@@ -67,7 +67,6 @@ from repro.storage.database import connect
 from repro.storage.store import (
     ProvenanceStore,
     RunLabelArrays,
-    STORED_RUN_CACHE_LIMIT,
     insert_labeled_run,
     insert_specification,
 )
@@ -527,11 +526,11 @@ class ShardedProvenanceStore:
         return self._store_of_run(run_id).spec_kernel(run_id)
 
     def query_engine(self, run_id: int):
-        """The shard's cached batch engine over the stored run."""
+        """The engine over the run's resident columns in its shard."""
         return self._store_of_run(run_id).query_engine(run_id)
 
     def has_compiled_engine(self, run_id: int) -> bool:
-        """Whether *run_id*'s shard already holds its warm compiled engine."""
+        """Whether *run_id* is resident in its shard store."""
         return self._store_of_run(run_id).has_compiled_engine(run_id)
 
     def run_label_arrays(self, run_id: int) -> RunLabelArrays:
@@ -565,8 +564,8 @@ class ShardedProvenanceStore:
     def _reaches(self, run_id: int, source, target) -> bool:
         return self._store_of_run(run_id)._reaches(run_id, source, target)
 
-    def _reaches_batch(self, run_id: int, pairs) -> list[bool]:
-        return self._store_of_run(run_id)._reaches_batch(run_id, pairs)
+    def _reaches_batch(self, run_id: int, pairs, *, load: bool = False) -> list[bool]:
+        return self._store_of_run(run_id)._reaches_batch(run_id, pairs, load=load)
 
     def _dependency_sweep(self, run_id: int, execution, *, downstream: bool):
         return self._store_of_run(run_id)._dependency_sweep(
@@ -579,7 +578,7 @@ class ShardedProvenanceStore:
         )
 
     def pushdown_profile(self, run_id: int):
-        """``(spec_scheme, pushdown-capable, n_vertices)`` from the run's shard."""
+        """``(spec_scheme, pushdown-capable)`` from the run's shard."""
         return self._store_of_run(run_id).pushdown_profile(run_id)
 
     def read_connection_for(self, run_id: int):
@@ -649,8 +648,9 @@ class ShardedProvenanceStore:
         counters — so an operator can see where the load sits.
         """
         totals = {
-            "stored_runs_cached": 0,
-            "engines_cached": 0,
+            "resident_runs": 0,
+            "resident_bytes": 0,
+            "budget_bytes": 0,
             "spec_kernels_cached": 0,
             "evictions": 0,
         }
@@ -690,7 +690,6 @@ class ShardedProvenanceStore:
         return {
             "shards": {"count": self.shard_count, "per_shard": per_shard},
             **totals,
-            "limit": STORED_RUN_CACHE_LIMIT * self.shard_count,
             "pushdown": pushdown,
             "degraded": degraded,
         }

@@ -9,52 +9,50 @@ stores only its three context coordinates and the name of its origin module —
 ``3 log nR + log nG`` bits of information per vertex.
 
 Queries reach the store through its session (``store.session()``, a
-:class:`~repro.api.ProvenanceSession`), whose plans call two query paths.
-The per-pair point plan (:meth:`ProvenanceStore._reaches`) issues one
-label SELECT per endpoint and is fine for interactive use.  The batched
-plans (:meth:`ProvenanceStore._reaches_batch`,
-:meth:`ProvenanceStore.labels_of_many`,
-:meth:`ProvenanceStore._dependency_sweep`) resolve all labels behind a
-query set with a single primary-key lookup (:func:`load_execution_labels`,
-chunked at :data:`LABEL_FETCH_CHUNK`, guarded against SQLite's
-999-host-parameter limit) and evaluate the Algorithm 3 predicate
-batch-wise.
+:class:`~repro.api.ProvenanceSession`).  Every single-run answer is
+Algorithm 3 evaluated by the run's specification kernel
+(:class:`~repro.engine.kernels.SpecKernel`, compiled once per
+specification and scheme), over one of two label sources:
 
-For replayed workloads the store additionally keeps, per ``(run_id,
-spec_scheme)``, a cached skeleton-labeled view of the run whose labels are
-fetched from SQL **at most once** and whose compiled
-:class:`~repro.engine.QueryEngine` kernel is reused across calls: repeated
-batches and dependency sweeps pay neither label re-resolution nor SQL
-round trips.  The interner behind those handles is persisted with the run
-(the ``vertex_id`` column), so handles are stable across store sessions;
-:meth:`ProvenanceStore.query_engine` exposes the cached engine for
-handle-native callers (the CLI's ``query-batch`` interns its whole input
-file once through it).
+* a run's **resident** label columns — one :func:`load_label_arrays`
+  fetch, kept as narrow integer arrays (:class:`_ResidentRun`) in an LRU
+  bounded by :data:`RESIDENT_BYTES_BUDGET`.  Sweeps, large batches and
+  :meth:`ProvenanceStore.query_engine` make a run resident; later queries
+  on it issue no label SQL;
+* for a point lookup or a small batch on a run that is not resident, only
+  the endpoints' labels, read by primary key in one statement
+  (:func:`load_execution_labels`).  Nothing is loaded.
+
+Resident state is dropped when another connection writes to the file
+(``PRAGMA data_version``), and by this store's own deletes and label
+updates.  Handle order follows the persisted interner (the ``vertex_id``
+column), so :meth:`ProvenanceStore.query_engine` hands out the handles the
+labeled run had when it was stored.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.engine.kernels import SpecKernel, compile_spec_kernel
+from repro.engine.kernels import SpecKernel, check_handles, compile_spec_kernel
 from repro.engine.query import QueryEngine
-from repro.exceptions import StorageError
+from repro.exceptions import LabelingError, StorageError
 from repro.faults import fault_point
-from repro.labeling.base import VertexHandleAPI
+from repro.graphs.handles import VertexInterner
 from repro.labeling.registry import get_scheme
 from repro.provenance.data import DataFlow
 from repro.skeleton.labels import RunLabel
-from repro.skeleton.skl import (
-    SkeletonLabeledRun,
-    skeleton_predicate,
-    skeleton_predicate_many,
-)
+from repro.skeleton.skl import SkeletonLabeledRun
 from repro.storage.database import (
     LABEL_FETCH_CHUNK,
     SQLITE_MAX_VARIABLE_NUMBER,
@@ -94,11 +92,15 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-#: how many stored runs keep their label cache + compiled engine resident at
-#: once; beyond this the least-recently-queried run is evicted (its labels
-#: and kernel are rebuilt from SQL on the next query), bounding store memory
-#: on workloads that sweep across many runs
-STORED_RUN_CACHE_LIMIT = 16
+#: bytes of resident label columns one store keeps; beyond this the
+#: least-recently-queried run is evicted and its next sweep or large batch
+#: loads it again.  Sized to what sixteen 1500-vertex runs took as label
+#: objects, which is several hundred runs as columns
+RESIDENT_BYTES_BUDGET = 8 * 1024 * 1024
+
+#: cached ``(spec_id, scheme)`` keys of queried runs; the cache is cleared
+#: when it reaches this size
+_RUN_KEYS_LIMIT = 4096
 
 #: the ``runs`` columns :meth:`ProvenanceStore._run_row` reads by default
 _RUN_METADATA = "run_id, spec_id, name, n_vertices, n_edges, spec_scheme"
@@ -134,15 +136,17 @@ def load_label_arrays(
     """Fetch many runs' label columns over *connection*, one scan per chunk.
 
     The connection-agnostic core of
-    :meth:`ProvenanceStore.run_label_arrays_many`: the parallel cross-run
-    executor calls it from worker threads/processes over **their own**
-    read-only connections to the store file, so the dominant per-run cost
-    (the SQL fetch plus the column transpose) parallelizes instead of
-    serializing on the store's single connection.  Each chunk of runs is
-    one ``run_id IN`` query ordered by ``(run_id, vertex_id)``, sliced at
-    the run boundaries; with numpy the per-run coordinate arrays are
-    zero-copy views into one chunk-wide array.  Run ids without rows yield
-    empty arrays — existence policy is the caller's.
+    :meth:`ProvenanceStore.run_label_arrays_many` and of a run's resident
+    load: the parallel cross-run executor calls it from worker threads
+    over **their own** read-only connections to the store file, so the
+    dominant per-run cost (the SQL fetch plus the column transpose)
+    parallelizes instead of serializing on the store's single connection.
+    Each chunk of runs is one ``run_id IN`` query ordered by ``run_id``
+    alone, which a covering index answers without a sort step; each run's
+    rows are then put in persisted-handle order (``vertex_id``, with rows
+    written before schema version 2 last in ``(module, instance)`` order)
+    and sliced at the run boundaries.  Run ids without rows yield empty
+    arrays — existence policy is the caller's.
     """
     fault_point("store.load_label_arrays")
     distinct: list[int] = []
@@ -158,9 +162,8 @@ def load_label_arrays(
             # the skeleton column is not fetched: the store persists the
             # origin module name there (see add_labeled_run), so the
             # module column already carries every origin a sweep needs
-            "SELECT run_id, module, instance, q1, q2, q3 FROM run_labels "
-            f"WHERE run_id IN ({placeholders}) "
-            "ORDER BY run_id, (vertex_id IS NULL), vertex_id, module, instance",
+            "SELECT run_id, module, instance, q1, q2, q3, vertex_id "
+            f"FROM run_labels WHERE run_id IN ({placeholders}) ORDER BY run_id",
             chunk,
         )
         # plain tuples instead of sqlite3.Row: this path exists to
@@ -170,55 +173,64 @@ def load_label_arrays(
         if rows:
             # one C-level transpose per chunk; the column tuples feed the
             # array constructors without a Python-level row visit each
-            rid_col, modules, instances, q1_col, q2_col, q3_col = zip(*rows)
+            rid_col, modules, instances, q1_col, q2_col, q3_col, vid_col = zip(*rows)
         else:
-            rid_col = modules = instances = q1_col = q2_col = q3_col = ()
-        count = len(rows)
+            rid_col = modules = instances = q1_col = q2_col = q3_col = vid_col = ()
+        order = _handle_order(rid_col, vid_col, modules, instances)
         if _np is not None:
-            rid = _np.fromiter(rid_col, dtype=_np.int64, count=count)
-            q1_all = _np.fromiter(q1_col, dtype=_np.int64, count=count)
-            q2_all = _np.fromiter(q2_col, dtype=_np.int64, count=count)
-            q3_all = _np.fromiter(q3_col, dtype=_np.int64, count=count)
-
-            def _bounds(run_id: int) -> tuple[int, int]:
-                return (
-                    int(_np.searchsorted(rid, run_id, side="left")),
-                    int(_np.searchsorted(rid, run_id, side="right")),
-                )
-
-            def _coords(lo: int, hi: int):
-                # slices of the chunk-wide arrays: zero-copy views
-                return q1_all[lo:hi], q2_all[lo:hi], q3_all[lo:hi]
-
+            order = _np.asarray(order, dtype=_np.intp)
+            columns = [
+                _np.fromiter(column, dtype=_np.int64, count=len(rows))[order]
+                for column in (q1_col, q2_col, q3_col)
+            ]
+            order = order.tolist()
         else:
-            from bisect import bisect_left, bisect_right
-
-            rid_list = list(rid_col)
-            q1_arr = array("q", q1_col)
-            q2_arr = array("q", q2_col)
-            q3_arr = array("q", q3_col)
-
-            def _bounds(run_id: int) -> tuple[int, int]:
-                return (
-                    bisect_left(rid_list, run_id),
-                    bisect_right(rid_list, run_id),
-                )
-
-            def _coords(lo: int, hi: int):
-                return q1_arr[lo:hi], q2_arr[lo:hi], q3_arr[lo:hi]
-
+            columns = [
+                array("q", [column[i] for i in order])
+                for column in (q1_col, q2_col, q3_col)
+            ]
+        modules = [modules[i] for i in order]
+        instances = [instances[i] for i in order]
         for run_id in chunk:
-            lo, hi = _bounds(run_id)
-            q1, q2, q3 = _coords(lo, hi)
+            # rows arrive grouped by run, and the handle order keeps them so
+            lo, hi = bisect_left(rid_col, run_id), bisect_right(rid_col, run_id)
+            # numpy slices are zero-copy views of the chunk-wide columns
+            q1, q2, q3 = (column[lo:hi] for column in columns)
             arrays[run_id] = RunLabelArrays(
                 run_id=run_id,
                 executions=list(zip(modules[lo:hi], instances[lo:hi])),
                 q1=q1,
                 q2=q2,
                 q3=q3,
-                origins=list(modules[lo:hi]),
+                origins=modules[lo:hi],
             )
     return arrays
+
+
+def _handle_order(run_ids, vertex_ids, modules, instances):
+    """The row permutation that puts each run's rows in persisted-handle order.
+
+    Rows are ordered by ``(run_id, vertex_id)``; rows written before schema
+    version 2 have no ``vertex_id`` and follow their run's other rows in
+    ``(module, instance)`` order.
+    """
+    count = len(run_ids)
+    if _np is not None:
+        try:
+            return _np.lexsort(
+                (
+                    _np.fromiter(vertex_ids, dtype=_np.int64, count=count),
+                    _np.fromiter(run_ids, dtype=_np.int64, count=count),
+                )
+            )
+        except TypeError:  # a NULL vertex_id: sort as without numpy
+            pass
+    return sorted(
+        range(count),
+        key=lambda i: (
+            run_ids[i], vertex_ids[i] is None, vertex_ids[i] or 0, modules[i], instances[i]
+        ),
+    )
 
 
 def label_lookup_sql(run_count: int, execution_count: int) -> str:
@@ -393,23 +405,27 @@ class ProvenanceStore:
         initialize_schema(self._connection)
         self._spec_cache: dict[int, WorkflowSpecification] = {}
         self._index_cache: dict[tuple[int, str], object] = {}
-        # Cached skeleton-labeled views of stored runs and the compiled
-        # batch engines over them (see _StoredRunIndex).  Keyed by run_id —
-        # a run's spec scheme is fixed at insert time, so the (run_id,
-        # scheme) identity the engines represent is preserved while warm
-        # lookups stay SQL-free.  LRU-bounded at STORED_RUN_CACHE_LIMIT.
-        self._stored_run_cache: "OrderedDict[int, _StoredRunIndex]" = OrderedDict()
-        self._engine_cache: dict[int, tuple[QueryEngine, int]] = {}
+        # Resident runs: the engine over each run's label columns, keyed by
+        # run_id, least recently queried first; bounded by the columns'
+        # bytes (RESIDENT_BYTES_BUDGET).  The engine, not the columns, is
+        # the entry, so the columns never point back at what caches them.
+        self._resident: "OrderedDict[int, QueryEngine]" = OrderedDict()
+        # run_id -> (spec_id, scheme), so a cold point lookup issues only
+        # its label statement; dropped with the resident runs
+        self._run_keys: dict[int, tuple[int, str]] = {}
+        # PRAGMA data_version when the two caches above were last valid: it
+        # moves when another connection commits to the file
+        self._data_version: Optional[int] = None
         # Compiled fall-through evaluators shared by every run of one
-        # (spec_id, scheme) — unlike the two caches above this one is not
-        # LRU-bounded: one entry per stored specification+scheme, and a
-        # cross-run sweep needs all of a spec's runs to hit the same entry.
+        # (spec_id, scheme) — not LRU-bounded: one entry per stored
+        # specification+scheme, and a cross-run sweep needs all of a spec's
+        # runs to hit the same entry.
         self._spec_kernel_cache: dict[tuple[int, str], SpecKernel] = {}
         self._session = None
         self._closed = False
-        # Lifetime counters behind ProvenanceSession.cache_stats(): how many
-        # stored-run label caches the LRU pushed out (each eviction means the
-        # next query on that run rebuilds from SQL).
+        # Lifetime counter behind ProvenanceSession.cache_stats(): resident
+        # runs the byte budget pushed out (each one's next sweep or large
+        # batch loads it again).
         self._evictions = 0
         # Per-scheme counts of dependency sweeps answered by the SQL
         # pushdown vs the streamed kernel, so planner decisions and scheme
@@ -563,10 +579,8 @@ class ProvenanceStore:
                 "WHERE run_id = ?",
                 (run_to_json(run), run.vertex_count, run.edge_count, run_id),
             )
-        # the cached label view and its compiled engine describe the
-        # pre-update run; drop both so the next query reloads from SQL
-        self._stored_run_cache.pop(run_id, None)
-        self._engine_cache.pop(run_id, None)
+        # the resident columns hold the pre-update labels
+        self._resident.pop(run_id, None)
         return len(changed)
 
     def get_run(self, run_id: int) -> WorkflowRun:
@@ -605,30 +619,61 @@ class ProvenanceStore:
 
     def _spec_index(self, run_id: int):
         row = self._run_row(run_id)
-        scheme = row["spec_scheme"] or "tcm"
-        key = (int(row["spec_id"]), scheme)
+        return self._spec_index_of((int(row["spec_id"]), row["spec_scheme"] or "tcm"))
+
+    def _spec_index_of(self, key: tuple[int, str]):
         if key not in self._index_cache:
-            spec = self._load_specification(int(row["spec_id"]))
-            self._index_cache[key] = get_scheme(scheme).build(spec.graph)
+            spec = self._load_specification(key[0])
+            self._index_cache[key] = get_scheme(key[1]).build(spec.graph)
         return self._index_cache[key]
+
+    def _sync_data_version(self) -> None:
+        """Drop resident runs and run keys if another connection wrote.
+
+        ``PRAGMA data_version`` moves when another connection (handle,
+        process, or a sharded store's ingest) commits to the file; this
+        store's own deletes and label updates drop what they invalidate.
+        """
+        self._require_open()
+        (version,) = self._connection.execute("PRAGMA data_version").fetchone()
+        if version != self._data_version:
+            self._data_version = version
+            self._resident.clear()
+            self._run_keys.clear()
+
+    def _run_key(self, run_id: int) -> tuple[int, str]:
+        """``(spec_id, spec_scheme)`` of a stored run; call after a sync."""
+        key = self._run_keys.get(run_id)
+        if key is None:
+            row = self._run_row(run_id)
+            if len(self._run_keys) >= _RUN_KEYS_LIMIT:
+                self._run_keys.clear()
+            key = self._run_keys[run_id] = (
+                int(row["spec_id"]),
+                row["spec_scheme"] or "tcm",
+            )
+        return key
+
+    def _kernel_of(self, run_id: int) -> SpecKernel:
+        """:meth:`spec_kernel` without the data-version sync."""
+        key = self._run_key(run_id)
+        kernel = self._spec_kernel_cache.get(key)
+        if kernel is None:
+            kernel = self._spec_kernel_cache[key] = compile_spec_kernel(
+                self._spec_index_of(key)
+            )
+        return kernel
 
     def spec_kernel(self, run_id: int) -> SpecKernel:
         """The compiled fall-through evaluator shared by the run's specification.
 
         Cached per ``(spec_id, spec_scheme)``, so every run of one
-        specification — the stored-run engines and the cross-run sweep —
-        pays the spec-side compilation (for non-TCM schemes, ``nG²``
-        predicate evaluations) exactly once per store.
+        specification — resident runs, point lookups and the cross-run
+        sweep — pays the spec-side compilation (for non-TCM schemes,
+        ``nG²`` predicate evaluations) exactly once per store.
         """
-        row = self._run_row(run_id)
-        scheme = row["spec_scheme"] or "tcm"
-        key = (int(row["spec_id"]), scheme)
-        kernel = self._spec_kernel_cache.get(key)
-        if kernel is None:
-            kernel = self._spec_kernel_cache[key] = compile_spec_kernel(
-                self._spec_index(run_id)
-            )
-        return kernel
+        self._sync_data_version()
+        return self._kernel_of(run_id)
 
     def run_label_arrays(self, run_id: int) -> RunLabelArrays:
         """Stream one run's label columns out of SQL as parallel arrays.
@@ -643,13 +688,13 @@ class ProvenanceStore:
     def run_label_arrays_many(
         self, run_ids: Sequence[int]
     ) -> dict[int, RunLabelArrays]:
-        """Stream many runs' label columns with one ordered SQL scan per chunk.
+        """Stream many runs' label columns with one SQL scan per chunk.
 
         The multi-run form of :meth:`run_label_arrays` and the prefetch
         behind cross-run execution: instead of re-opening a cursor per run,
         each chunk of runs is fetched with a **single** ``run_id IN``
-        query ordered by ``(run_id, vertex_id)`` and sliced in memory at
-        the run boundaries (see :func:`load_label_arrays`).  Unknown run
+        query, put in handle order and sliced in memory at the run
+        boundaries (see :func:`load_label_arrays`).  Unknown run
         ids raise :class:`~repro.exceptions.StorageError`, like the
         single-run path.
         """
@@ -743,6 +788,53 @@ class ProvenanceStore:
             for row in rows
         }
 
+    # ------------------------------------------------------------------
+    # resident runs and the single-run query paths
+    # ------------------------------------------------------------------
+    def query_engine(self, run_id: int) -> QueryEngine:
+        """The :class:`~repro.engine.QueryEngine` over a run's resident columns.
+
+        Makes the run resident (one :func:`load_label_arrays` fetch); later
+        calls return the same engine until the run is evicted or written.
+        Handle-native callers intern their workload once
+        (``engine.intern_pairs(pairs)``) and replay it through
+        ``engine.reaches_many_ids``; handles are the persisted
+        ``vertex_id`` values.
+        """
+        self._sync_data_version()
+        engine = self._resident.get(run_id)
+        if engine is not None:
+            self._resident.move_to_end(run_id)
+            return engine
+        kernel = self._kernel_of(run_id)  # raises when the run does not exist
+        arrays = load_label_arrays(self._connection, [run_id])[run_id]
+        engine = QueryEngine(_ResidentRun(run_id, arrays, kernel), cache_size=0)
+        self._resident[run_id] = engine
+        resident_bytes = self._resident_bytes()
+        while resident_bytes > RESIDENT_BYTES_BUDGET:
+            _, evicted = self._resident.popitem(last=False)
+            resident_bytes -= evicted.index.nbytes
+            self._evictions += 1
+        return engine
+
+    def has_compiled_engine(self, run_id: int) -> bool:
+        """Whether *run_id* is resident (its columns are held in memory)."""
+        self._sync_data_version()
+        return run_id in self._resident
+
+    def _resident_bytes(self) -> int:
+        return sum(engine.index.nbytes for engine in self._resident.values())
+
+    def _resident_run(self, run_id: int, *, load: bool) -> Optional["_ResidentRun"]:
+        """The run's resident columns; loaded when *load*, else ``None`` if cold."""
+        self._sync_data_version()
+        engine = self._resident.get(run_id)
+        if engine is not None:
+            self._resident.move_to_end(run_id)
+            return engine.index
+        # loads go through the public name, so a wrapper of it sees each one
+        return self.query_engine(run_id).index if load else None
+
     def _reaches(
         self,
         run_id: int,
@@ -751,96 +843,62 @@ class ProvenanceStore:
     ) -> bool:
         """Per-pair reachability from stored labels (the session's point plan).
 
+        A resident run answers from its columns.  Any other run reads the
+        two labels by primary key in one statement and loads nothing.
         *source* and *target* may be :class:`RunVertex` instances or plain
         ``(module, instance)`` tuples.
         """
-        source_module, source_instance = _coerce_vertex(source)
-        target_module, target_instance = _coerce_vertex(target)
-        source_label = self.label_of(run_id, source_module, source_instance)
-        target_label = self.label_of(run_id, target_module, target_instance)
-        return skeleton_predicate(source_label, target_label, self._spec_index(run_id))
-
-    def _stored_index(self, run_id: int) -> "_StoredRunIndex":
-        """The cached skeleton-labeled view of a stored run (no SQL on hit)."""
-        self._require_open()
-        index = self._stored_run_cache.get(run_id)
-        if index is not None:
-            self._stored_run_cache.move_to_end(run_id)
-            return index
-        row = self._run_row(run_id)
-        scheme = row["spec_scheme"] or "tcm"
-        index = _StoredRunIndex(self, run_id, scheme, self._spec_index(run_id))
-        self._stored_run_cache[run_id] = index
-        while len(self._stored_run_cache) > STORED_RUN_CACHE_LIMIT:
-            evicted_run, _ = self._stored_run_cache.popitem(last=False)
-            self._engine_cache.pop(evicted_run, None)
-            self._evictions += 1
-        return index
-
-    def query_engine(self, run_id: int) -> QueryEngine:
-        """The cached batch :class:`~repro.engine.QueryEngine` over a stored run.
-
-        The first call loads the run's full label set (one SQL round trip,
-        ordered by the persisted interner ids) and compiles the engine's
-        skeleton kernel; every later call returns the same engine, so
-        replayed workloads pay no SQL and no label resolution.  Handle-native
-        callers intern their workload once
-        (``engine.intern_pairs(pairs)``) and replay it through
-        ``engine.reaches_many_ids``.
-        """
-        index = self._stored_index(run_id)
-        index.ensure_all()
-        cached = self._engine_cache.get(run_id)
-        if cached is None or cached[1] != index.version:
-            cached = (
-                QueryEngine(index, spec_kernel=self.spec_kernel(run_id)),
-                index.version,
-            )
-            self._engine_cache[run_id] = cached
-        return cached[0]
-
-    def has_compiled_engine(self, run_id: int) -> bool:
-        """Whether *run_id* already has a warm compiled engine cached.
-
-        The session's batch planner reads this (instead of poking the
-        private cache) to decide whether a small workload should ride the
-        already-paid handle path.
-        """
-        return run_id in self._engine_cache
+        source, target = _coerce_vertex(source), _coerce_vertex(target)
+        resident = self._resident_run(run_id, load=False)
+        if resident is not None:
+            return resident.reaches_rows(resident.row(source), resident.row(target))
+        kernel = self._kernel_of(run_id)
+        found = load_execution_labels(self._connection, [run_id], [source, target])
+        found = found[run_id]
+        _require_complete(run_id, [source, target], found)
+        position_of = kernel.position_of
+        return kernel.point(
+            found[source],
+            found[target],
+            position_of[source[0]],
+            position_of[target[0]],
+        )
 
     def _reaches_batch(
-        self,
-        run_id: int,
-        pairs: Iterable[tuple],
+        self, run_id: int, pairs: Iterable[tuple], *, load: bool = False
     ) -> list[bool]:
         """The stored-run batch plan (used by the session's BatchQuery).
 
-        Labels the batch needs but the run's cached view is missing are
-        looked up by primary key (:func:`load_execution_labels`: a single
-        SQL round trip for up to :data:`LABEL_FETCH_CHUNK` distinct
-        executions) and kept, so replaying a workload touches SQL only
-        once; when the cached view is complete the batch is answered by
-        the compiled :meth:`query_engine` kernel instead of re-evaluating
-        the predicate from label objects.  Returns one boolean per pair,
-        in order.
+        A resident run — or, with *load*, any run, made resident first —
+        answers from its columns.  Otherwise only the batch's distinct
+        endpoints are read, by primary key (:func:`load_execution_labels`:
+        one statement for up to :data:`LABEL_FETCH_CHUNK` executions), and
+        evaluated over arrays holding just those rows.  Returns one boolean
+        per pair, in order.
         """
+        resident = self._resident_run(run_id, load=load)
+        if resident is not None:
+            return resident.reaches_batch(pairs)
         coerced = [
             (_coerce_vertex(source), _coerce_vertex(target)) for source, target in pairs
         ]
-        index = self._stored_index(run_id)
-        index.ensure(
-            _distinct_executions(
-                execution for pair in coerced for execution in pair
-            )
+        if not coerced:
+            return []
+        kernel = self._kernel_of(run_id)
+        endpoints = _distinct_executions(e for pair in coerced for e in pair)
+        found = load_execution_labels(self._connection, [run_id], endpoints)[run_id]
+        _require_complete(run_id, endpoints, found)
+        row_of = {execution: row for row, execution in enumerate(endpoints)}
+        q1, q2, q3 = zip(*map(found.__getitem__, endpoints))
+        answers = kernel.pairs(
+            q1,
+            q2,
+            q3,
+            kernel.origin_positions([module for module, _ in endpoints]),
+            [row_of[source] for source, _ in coerced],
+            [row_of[target] for _, target in coerced],
         )
-        if index.fully_loaded:
-            answers = self.query_engine(run_id).reaches_batch(coerced)
-            return answers if isinstance(answers, list) else list(answers)
-        label_pairs = [
-            (index.label_of(source), index.label_of(target))
-            for source, target in coerced
-        ]
-        return skeleton_predicate_many(label_pairs, index.spec_index)
+        return answers if isinstance(answers, list) else answers.tolist()
 
     def _dependency_sweep(
         self,
@@ -848,17 +906,14 @@ class ProvenanceStore:
         execution: Union[RunVertex, tuple[str, int]],
         *,
         downstream: bool,
-    ) -> list[tuple[str, int]]:
-        anchor = _coerce_vertex(execution)
-        index = self._stored_index(run_id)
-        index.ensure_all()
-        if not index.has_label(anchor):
-            raise StorageError(
-                f"run {run_id} has no label for execution {anchor[0]}{anchor[1]}"
-            )
-        engine = self.query_engine(run_id)
-        self._note_sweep_path(index.scheme, pushdown=False)
-        return engine.dependency_sweep(anchor, downstream=downstream)
+    ) -> list[RunVertex]:
+        """Every execution the anchor reaches (or that reaches it), from the
+        run's resident columns, in persisted-handle order."""
+        answers = self._resident_run(run_id, load=True).sweep(
+            _coerce_vertex(execution), downstream=downstream
+        )
+        self._note_sweep_path(self._run_key(run_id)[1], pushdown=False)
+        return answers
 
     def _dependency_sweep_pushdown(
         self,
@@ -871,14 +926,12 @@ class ProvenanceStore:
 
         Same contract, same answers in the same (persisted-interner) order —
         but evaluated inside SQLite over the v3 covering indexes instead of
-        streaming the run's label arrays through a kernel.  Only the
-        spec-level module reachability of the anchor is computed in Python
-        (from the shared :meth:`spec_kernel`); everything per-vertex stays
-        in the database and only matching rows cross the SQL boundary.
+        from the run's label columns.  Only the spec-level module
+        reachability of the anchor is computed in Python (from the shared
+        :meth:`spec_kernel`); everything per-vertex stays in the database
+        and only matching rows cross the SQL boundary.
         """
         anchor = _coerce_vertex(execution)
-        row = self._run_row(run_id)
-        scheme = row["spec_scheme"] or "tcm"
         kernel = self.spec_kernel(run_id)
         modules = reachable_modules(kernel, anchor[0], downstream=downstream)
         result = None
@@ -890,18 +943,13 @@ class ProvenanceStore:
             raise StorageError(
                 f"run {run_id} has no label for execution {anchor[0]}{anchor[1]}"
             )
-        self._note_sweep_path(scheme, pushdown=True)
+        self._note_sweep_path(self._run_key(run_id)[1], pushdown=True)
         return [RunVertex(module, instance) for module, instance in result]
 
-    def pushdown_profile(self, run_id: int) -> tuple[str, bool, int]:
-        """``(spec_scheme, pushdown-capable, n_vertices)`` of one stored run.
-
-        The three facts the session planner weighs when choosing between
-        the SQL pushdown and the streamed kernel for a sweep.
-        """
-        row = self._run_row(run_id)
-        scheme = row["spec_scheme"] or "tcm"
-        return scheme, scheme_supports_pushdown(scheme), int(row["n_vertices"])
+    def pushdown_profile(self, run_id: int) -> tuple[str, bool]:
+        """``(spec_scheme, pushdown-capable)`` of one stored run."""
+        scheme = self._run_row(run_id)["spec_scheme"] or "tcm"
+        return scheme, scheme_supports_pushdown(scheme)
 
     def read_connection_for(self, run_id: int) -> sqlite3.Connection:
         """The connection that can read *run_id*'s rows (the store's own)."""
@@ -1017,7 +1065,7 @@ class ProvenanceStore:
     # maintenance
     # ------------------------------------------------------------------
     def delete_run(self, run_id: int) -> None:
-        """Remove a run and all dependent rows (evicting its cached engine)."""
+        """Remove a run and all dependent rows (and its resident columns)."""
         self._require_open()
         with self._connection:
             deleted = self._connection.execute(
@@ -1025,24 +1073,24 @@ class ProvenanceStore:
             ).rowcount
         if not deleted:
             raise StorageError(f"no run with id {run_id}")
-        self._stored_run_cache.pop(run_id, None)
-        self._engine_cache.pop(run_id, None)
+        self._resident.pop(run_id, None)
+        self._run_keys.pop(run_id, None)
 
     def cache_stats(self) -> dict:
         """Occupancy and eviction counters of the store's query caches.
 
-        ``evictions`` counts stored-run label caches pushed out of the LRU
-        (bounded at ``limit`` = :data:`STORED_RUN_CACHE_LIMIT`); each
-        eviction means the next query against that run pays its SQL fetch
-        and kernel compilation again.  Surfaced through
-        :meth:`ProvenanceSession.cache_stats`.
+        ``resident_runs`` and ``resident_bytes`` describe the runs whose
+        label columns are held, bounded at ``budget_bytes`` =
+        :data:`RESIDENT_BYTES_BUDGET`; ``evictions`` counts runs the budget
+        pushed out, each of which pays one label fetch on its next sweep or
+        large batch.  Surfaced through :meth:`ProvenanceSession.cache_stats`.
         """
         return {
-            "stored_runs_cached": len(self._stored_run_cache),
-            "engines_cached": len(self._engine_cache),
+            "resident_runs": len(self._resident),
+            "resident_bytes": self._resident_bytes(),
+            "budget_bytes": RESIDENT_BYTES_BUDGET,
             "spec_kernels_cached": len(self._spec_kernel_cache),
             "evictions": self._evictions,
-            "limit": STORED_RUN_CACHE_LIMIT,
             "pushdown": {
                 "sql": dict(self._sweep_paths["sql"]),
                 "kernel": dict(self._sweep_paths["kernel"]),
@@ -1061,151 +1109,198 @@ class ProvenanceStore:
         return counts
 
 
-class _StoredRunIndex(VertexHandleAPI):
-    """A skeleton-labeled view of one stored run, with a growing label cache.
+class _ResidentRun:
+    """One stored run's label columns, resident between queries.
 
-    The store hands every batched query path through one of these (cached
-    per ``(run_id, spec_scheme)``): labels already fetched from SQL are kept
-    for the store's lifetime, so a replayed workload resolves each label at
-    most once.  Once the full label set is loaded (:meth:`ensure_all`) the
-    object exposes the complete ``(D, φ, π)`` + vertex-handle surface of a
-    :class:`~repro.skeleton.skl.SkeletonLabeledRun` — including
-    ``kernel_hint = "skl"`` — so :func:`repro.engine.kernels.build_kernel`
-    compiles the same vectorized skeleton kernel for it.  Handle order
-    follows the persisted ``vertex_id`` column (the interner of the run
-    that was stored), falling back to ``(module, instance)`` order for rows
-    written before schema version 2.
+    Built from one :func:`load_label_arrays` fetch, with no object per
+    vertex: the context coordinates, the origin positions in the spec
+    kernel and the instances, each an ``array`` of the narrowest integer
+    type that holds it.  Rows are in persisted-handle order, so a row is
+    the vertex handle; an execution's row is a binary search in sorted
+    ``position * stride + instance`` keys (``bisect`` for one,
+    ``numpy.searchsorted`` over the same buffer for many).  Answers are
+    the shared :class:`~repro.engine.kernels.SpecKernel` formula, so they
+    are bit-identical to the cross-run path's.  As the index of
+    :meth:`ProvenanceStore.query_engine`'s engine it is its own batch
+    kernel (``kernel_hint = "columns"``), and builds its :attr:`interner`
+    only on request, counting it in :attr:`nbytes`.
     """
 
-    kernel_hint = "skl"
+    kernel_hint = "columns"
+    name = "numpy-columns" if _np is not None else "python-columns"
 
-    def __init__(
-        self, store: ProvenanceStore, run_id: int, scheme: str, spec_index
-    ) -> None:
-        self._store = store
+    def __init__(self, run_id: int, arrays: RunLabelArrays, kernel: SpecKernel) -> None:
         self.run_id = run_id
-        self.scheme = scheme
-        self.spec_index = spec_index
-        self._cached: dict[RunVertex, RunLabel] = {}
-        self._fully_loaded = False
-        #: bumped whenever the cached label universe changes; the store's
-        #: engine cache is keyed on it so a stale kernel is never reused
-        self.version = 0
+        self.kernel = kernel
+        self._interner: Optional[VertexInterner] = None
+        instances = [instance for _, instance in arrays.executions]
+        origins = kernel.origin_positions(arrays.origins)
+        self._low = min(instances, default=0)
+        self._stride = max(instances, default=0) - self._low + 1
+        if _np is not None:
+            keys = _np.asarray(origins) * self._stride + (
+                _np.asarray(instances, dtype=_np.int64) - self._low
+            )
+            order = _np.argsort(keys, kind="stable")
+            keys = keys[order]
+        else:
+            keys = [
+                position * self._stride + instance - self._low
+                for position, instance in zip(origins, instances)
+            ]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            keys = [keys[row] for row in order]
+        columns = (arrays.q1, arrays.q2, arrays.q3, origins, instances, keys, order)
+        (
+            self.q1, self.q2, self.q3, self.origins, self.instances,
+            self._keys, self._rows,
+        ) = columns = [_column(values) for values in columns]
+        #: bytes held: the columns' buffers, plus the interner once built
+        self.nbytes = sum(memoryview(column).nbytes for column in columns)
 
-    # -- label cache ----------------------------------------------------
-    @property
-    def fully_loaded(self) -> bool:
-        """Whether every label of the run is in the cache."""
-        return self._fully_loaded
+    def row(self, execution: tuple[str, int], error=StorageError) -> int:
+        """The row (vertex handle) of one ``(module, instance)`` execution.
 
-    def has_label(self, execution: tuple[str, int]) -> bool:
-        """Whether *execution*'s label is cached (complete after ensure_all)."""
-        return execution in self._cached
-
-    def ensure(self, executions: list[tuple[str, int]]) -> None:
-        """Load the labels of *executions* that are not cached yet.
-
-        Missing labels are fetched by primary key, in chunks under SQLite's
-        host-parameter limit; executions absent from the store raise
-        :class:`~repro.exceptions.StorageError` (same contract as
-        :meth:`ProvenanceStore.labels_of_many`).
+        An execution the run does not store raises *error* naming the run.
         """
-        needed = [key for key in executions if key not in self._cached]
-        if not needed:
-            return
-        spec_label_of = self.spec_index.label_of
-        fetched = load_execution_labels(
-            self._store._connection, [self.run_id], needed
-        )[self.run_id]
-        _require_complete(self.run_id, needed, fetched)
-        for (module, instance), (q1, q2, q3) in fetched.items():
-            self._cached[RunVertex(module, instance)] = RunLabel(
-                q1=q1, q2=q2, q3=q3, skeleton=spec_label_of(module)
+        module, instance = execution
+        position = self.kernel.position_of.get(module)
+        offset = instance - self._low
+        if position is not None and 0 <= offset < self._stride:
+            key = position * self._stride + offset
+            slot = bisect_left(self._keys, key)
+            if slot < len(self._keys) and self._keys[slot] == key:
+                return self._rows[slot]
+        raise error(f"run {self.run_id} has no label for execution {module}{instance}")
+
+    def rows(self, executions: Sequence[tuple[str, int]], error=StorageError):
+        """The rows of many executions, in order (an array with numpy)."""
+        if _np is None or not executions:
+            return [self.row(execution, error) for execution in executions]
+        count = len(executions)
+        modules, instances = zip(*executions)
+        positions = _np.fromiter(
+            map(self.kernel.position_of.get, modules, [-1] * count),
+            dtype=_np.int64,
+            count=count,
+        )
+        offsets = _np.fromiter(instances, dtype=_np.int64, count=count) - self._low
+        keys = positions * self._stride + offsets
+        table = _view(self._keys)
+        slots = _np.minimum(table.searchsorted(keys), max(len(table) - 1, 0))
+        found = (positions >= 0) & (offsets >= 0) & (offsets < self._stride)
+        if not (len(table) and (found & (table[slots] == keys)).all()):
+            # name the first execution the run does not store
+            for execution in executions:
+                self.row(execution, error)
+        return _view(self._rows)[slots]
+
+    def _vertices(self, rows) -> list[RunVertex]:
+        """The executions at *rows*, as :class:`RunVertex` answers."""
+        if _np is not None:
+            origins = _view(self.origins)[rows].tolist()
+            instances = _view(self.instances)[rows].tolist()
+        else:
+            origins = [self.origins[row] for row in rows]
+            instances = [self.instances[row] for row in rows]
+        # tuple.__new__ is what RunVertex(...) runs, minus a Python frame
+        return list(
+            map(
+                partial(tuple.__new__, RunVertex),
+                zip(map(self.kernel.modules.__getitem__, origins), instances),
             )
-        self.version += 1
+        )
 
-    def ensure_all(self) -> None:
-        """Load the run's complete label set (one SQL round trip, once).
+    # -- answers ------------------------------------------------------------
+    def reaches_rows(self, source: int, target: int) -> bool:
+        """Algorithm 3 between two rows, in its scalar form."""
+        q1, q2, q3, origins = self.q1, self.q2, self.q3, self.origins
+        return self.kernel.point(
+            (q1[source], q2[source], q3[source]),
+            (q1[target], q2[target], q3[target]),
+            origins[source],
+            origins[target],
+        )
 
-        The cache is rebuilt in persisted-interner order, so the handles
-        this index (and any engine over it) assigns match the ids the
-        original :class:`~repro.skeleton.skl.SkeletonLabeledRun` interned.
-        """
-        if self._fully_loaded:
-            return
-        spec_label_of = self.spec_index.label_of
-        rows = self._store._connection.execute(
-            "SELECT module, instance, q1, q2, q3, skeleton FROM run_labels "
-            "WHERE run_id = ? "
-            "ORDER BY (vertex_id IS NULL), vertex_id, module, instance",
-            (self.run_id,),
-        ).fetchall()
-        self._cached = {
-            RunVertex(row["module"], int(row["instance"])): RunLabel(
-                q1=int(row["q1"]),
-                q2=int(row["q2"]),
-                q3=int(row["q3"]),
-                skeleton=spec_label_of(row["skeleton"]),
-            )
-            for row in rows
-        }
-        # handle tables were built over the partial universe; rebuild lazily
-        self._handle_interner = None
-        self._handle_label_table = None
-        self._fully_loaded = True
-        self.version += 1
+    def reaches_batch(self, pairs: Sequence[tuple]) -> list[bool]:
+        """One answer per ``(source, target)`` execution pair, in order."""
+        answers = self.reaches_many_ids(*self.intern_pairs(pairs, StorageError))
+        return answers if isinstance(answers, list) else answers.tolist()
 
-    # -- the (D, φ, π) + handle surface over the stored run --------------
+    def sweep(self, anchor: tuple[str, int], *, downstream: bool) -> list[RunVertex]:
+        """Every execution *anchor* reaches (or that reaches it), in handle order."""
+        answers = self.kernel.sweep(
+            self.q1, self.q2, self.q3, self.origins, self.row(anchor),
+            downstream=downstream,
+        )
+        if _np is not None:
+            return self._vertices(_np.flatnonzero(answers))
+        return self._vertices([row for row, answer in enumerate(answers) if answer])
+
+    # -- the engine surface; unknown vertices raise LabelingError -----------
     @property
-    def stable_labels(self) -> bool:
-        """Inherited from the spec index, like SkeletonLabeledRun."""
-        return getattr(self.spec_index, "stable_labels", True)
-
-    def _handle_vertices(self):
-        if not self._fully_loaded:  # pragma: no cover - internal misuse guard
-            raise StorageError(
-                "vertex handles over a stored run require the full label set; "
-                "call ensure_all() first"
+    def interner(self) -> VertexInterner:
+        """The handles as a :class:`~repro.graphs.handles.VertexInterner`."""
+        if self._interner is None:
+            vertices = self._vertices(range(len(self.q1)))
+            self._interner = VertexInterner(vertices)
+            self.nbytes += (
+                sys.getsizeof(self._interner.id_map)
+                + sys.getsizeof(vertices)
+                + sum(map(sys.getsizeof, vertices))
             )
-        return self._cached
+        return self._interner
 
-    def _handle_labels_cacheable(self) -> bool:
-        # Stored labels are frozen rows; like SkeletonLabeledRun, only the
-        # fall-through predicate can be live, never the labels.
-        return True
+    def intern(self, vertex) -> int:
+        return self.row(vertex, LabelingError)
 
-    def labels(self) -> dict[RunVertex, RunLabel]:
-        """A copy of the cached label assignment (complete after ensure_all)."""
-        return dict(self._cached)
-
-    def label_of(self, vertex) -> RunLabel:
-        """The cached label of one execution (RunVertex or plain tuple)."""
-        try:
-            return self._cached[vertex]
-        except KeyError:
-            raise StorageError(
-                f"run {self.run_id} has no cached label for execution "
-                f"{vertex[0]}{vertex[1]}"
-            ) from None
-
-    def reaches_labels(self, first: RunLabel, second: RunLabel) -> bool:
-        """``πr`` over two stored labels (Algorithm 3)."""
-        return skeleton_predicate(first, second, self.spec_index)
+    def intern_pairs(self, pairs: Sequence[tuple], error=LabelingError):
+        rows = self.rows(list(chain.from_iterable(pairs)), error)
+        return rows[0::2], rows[1::2]
 
     def reaches(self, source, target) -> bool:
-        """Decide reachability between two cached executions."""
-        return self.reaches_labels(self.label_of(source), self.label_of(target))
+        return self.reaches_rows(self.intern(source), self.intern(target))
 
-    def reaches_many(self, label_pairs) -> list[bool]:
-        """Batch ``πr`` with a single spec-index call for all fall-throughs."""
-        return skeleton_predicate_many(label_pairs, self.spec_index)
+    def reaches_ids(self, source_id: int, target_id: int) -> bool:
+        check_handles([source_id], [target_id], len(self.q1))
+        return self.reaches_rows(source_id, target_id)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "full" if self._fully_loaded else f"{len(self._cached)} cached"
-        return (
-            f"_StoredRunIndex(run_id={self.run_id}, scheme={self.scheme!r}, "
-            f"labels={state})"
+    def reaches_many_ids(self, source_ids, target_ids):
+        source_ids, target_ids = check_handles(source_ids, target_ids, len(self.q1))
+        return self.kernel.pairs(
+            self.q1, self.q2, self.q3, self.origins, source_ids, target_ids
         )
+
+    # the kernel role (build_kernel returns a "columns" index as it is)
+    def batch(self, pairs: Sequence[tuple]) -> list:
+        answers = self.reaches_many_ids(*self.intern_pairs(pairs))
+        return answers if isinstance(answers, list) else answers.tolist()
+
+    batch_ids = reaches_many_ids
+
+
+def _column(values) -> array:
+    """*values* as an ``array`` of the narrowest signed type that holds them."""
+    if _np is not None:
+        values = _np.asarray(values, dtype=_np.int64)
+        low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    else:
+        low, high = min(values, default=0), max(values, default=0)
+    for code in "bhiq":
+        limit = 1 << (8 * array(code).itemsize - 1)
+        if -limit <= low and high < limit:
+            break
+    column = array(code)
+    if _np is not None:
+        column.frombytes(values.astype(code).tobytes())
+    else:
+        column.fromlist(list(values))
+    return column
+
+
+def _view(column: array):
+    """A numpy view of an ``array`` column (no copy)."""
+    return _np.frombuffer(column, dtype=column.typecode)
 
 
 def _distinct_executions(executions) -> list[tuple[str, int]]:

@@ -447,54 +447,6 @@ class TestStoredEngine:
             store._connection.set_trace_callback(None)
         assert not any("SELECT" in s for s in statements)
 
-    def test_stored_run_cache_is_bounded(self, store, synthetic_spec, synthetic_run):
-        import repro.storage.store as store_module
-
-        labeler = SkeletonLabeler(synthetic_spec, "tcm")
-        labeled = labeler.label_run(
-            synthetic_run.run, plan=synthetic_run.plan, context=synthetic_run.context
-        )
-        original_name = labeled.run.name
-        run_ids = []
-        try:
-            for i in range(store_module.STORED_RUN_CACHE_LIMIT + 3):
-                labeled.run.name = f"bounded-{i}"
-                run_ids.append(store.add_labeled_run(labeled))
-        finally:
-            labeled.run.name = original_name  # the run fixture is shared
-        for run_id in run_ids:
-            store.query_engine(run_id)
-        assert len(store._stored_run_cache) == store_module.STORED_RUN_CACHE_LIMIT
-        assert len(store._engine_cache) <= store_module.STORED_RUN_CACHE_LIMIT
-        # the least-recently-queried runs were evicted, the newest survive
-        assert run_ids[-1] in store._stored_run_cache
-        assert run_ids[0] not in store._stored_run_cache
-        # evicted runs still answer (labels re-fetched transparently)
-        first_pair = [synthetic_run.run.vertices()[0]] * 2
-        query = BatchQuery(pairs=[tuple(first_pair)], run_id=run_ids[0])
-        assert store.session().run(query) == [True]
-
-    def test_evicted_runs_are_freed_on_eviction(
-        self, store, paper_labeled_run, monkeypatch
-    ):
-        monkeypatch.setattr(store_module, "STORED_RUN_CACHE_LIMIT", 1)
-        original_name = paper_labeled_run.run.name
-        try:
-            run_ids = []
-            for name in ("evicted-first", "evicted-second"):
-                paper_labeled_run.run.name = name
-                run_ids.append(store.add_labeled_run(paper_labeled_run))
-        finally:
-            paper_labeled_run.run.name = original_name  # the fixture is shared
-        engine = store.query_engine(run_ids[0])
-        assert engine.reaches(("a", 1), ("h", 1)) is True
-        freed = [weakref.ref(engine), weakref.ref(engine.index)]
-        del engine
-        with cycle_collector_off():
-            store.query_engine(run_ids[1])  # evicts the first run
-            assert run_ids[0] not in store._stored_run_cache
-            assert [ref() for ref in freed] == [None, None]
-
     def test_legacy_rows_without_vertex_ids_still_answer(
         self, store, paper_labeled_run
     ):
@@ -503,8 +455,6 @@ class TestStoredEngine:
             store._connection.execute(
                 "UPDATE run_labels SET vertex_id = NULL WHERE run_id = ?", (run_id,)
             )
-        store._stored_run_cache.clear()
-        store._engine_cache.clear()
         engine = store.query_engine(run_id)
         vertices = paper_labeled_run.run.vertices()
         pairs = [(u, v) for u in vertices for v in vertices]
@@ -516,10 +466,10 @@ class TestStoredEngine:
     def test_delete_run_evicts_cached_engine(self, store, paper_labeled_run):
         run_id = store.add_labeled_run(paper_labeled_run)
         store.query_engine(run_id)
-        assert store._engine_cache and store._stored_run_cache
+        assert store.has_compiled_engine(run_id)
         store.delete_run(run_id)
-        assert not store._engine_cache
-        assert not store._stored_run_cache
+        assert not store.has_compiled_engine(run_id)
+        assert store.cache_stats()["resident_runs"] == 0
         with pytest.raises(StorageError):
             store.query_engine(run_id)
 

@@ -3,9 +3,8 @@
 Covers the executor (worker resolution, sequential auto-selection,
 bit-identical answers on worker threads, one pool per sweep whose threads
 end with it), the chunked multi-run prefetch, the generalized cross-run
-batch/point queries, the session's adaptive point-query promotion (with a
-SQL statement probe), and the CLI surface (``sweep --workers``,
-``cross-batch``).
+batch/point queries, the session's cache statistics, and the CLI
+surface (``sweep --workers``, ``cross-batch``).
 """
 
 from __future__ import annotations
@@ -503,110 +502,6 @@ class TestCrossRunQueries:
         assert parallel.per_run == sequential.per_run
         with pytest.raises(QueryPlanError):
             session.run(CrossRunQuery(spec.name, ("a", 1), workers=0))
-
-
-class TestAdaptivePromotion:
-    def _store_with_run(self, tmp_path, paper_spec, paper_run):
-        labeler = SkeletonLabeler(paper_spec, "tcm")
-        store = ProvenanceStore(tmp_path / "promote.db")
-        run_id = store.add_labeled_run(labeler.label_run(paper_run))
-        return store, run_id
-
-    def test_promotion_makes_point_queries_sql_free(
-        self, tmp_path, paper_spec, paper_run
-    ):
-        store, run_id = self._store_with_run(tmp_path, paper_spec, paper_run)
-        session = ProvenanceSession(store, promote_after=3)
-        statements: list[str] = []
-        store._connection.set_trace_callback(statements.append)
-        query = PointQuery(("a", 1), ("h", 1), run_id=run_id)
-        # cold: each point query pays per-pair SQL
-        session.run(query)
-        assert statements, "cold point queries must touch SQL"
-        statements.clear()
-        session.run(query)
-        assert statements
-        # the Nth query trips promotion: the engine warms with one final
-        # label fetch ...
-        statements.clear()
-        assert session.run(query) is True
-        assert statements, "promotion warms the engine with one SQL fetch"
-        # ... and every later point query replays with ZERO SQL
-        statements.clear()
-        for _ in range(10):
-            assert session.run(query) is True
-            assert session.run(PointQuery(("h", 1), ("a", 1), run_id=run_id)) is False
-        assert statements == []
-        store._connection.set_trace_callback(None)
-        stats = session.cache_stats()
-        assert stats["promoted_runs"] == [run_id]
-        assert stats["promotions"] == 1
-        assert stats["point_hits"][run_id] == 3
-        store.close()
-
-    def test_default_threshold_and_validation(self, tmp_path, paper_spec, paper_run):
-        from repro.api import PROMOTE_AFTER_DEFAULT
-
-        store, run_id = self._store_with_run(tmp_path, paper_spec, paper_run)
-        session = ProvenanceSession(store)
-        assert session.cache_stats()["promote_after"] == PROMOTE_AFTER_DEFAULT
-        with pytest.raises(QueryPlanError):
-            ProvenanceSession(store, promote_after=0)
-        store.close()
-
-    def test_promoted_answers_match_cold_answers(
-        self, tmp_path, paper_spec, paper_run
-    ):
-        store, run_id = self._store_with_run(tmp_path, paper_spec, paper_run)
-        session = ProvenanceSession(store, promote_after=2)
-        vertices = paper_run.vertices()
-        pairs = [(u, v) for u in vertices[:5] for v in vertices[:5]]
-        cold = [
-            ProvenanceSession(store, promote_after=10_000).run(
-                PointQuery(u, v, run_id=run_id)
-            )
-            for u, v in pairs
-        ]
-        hot = [session.run(PointQuery(u, v, run_id=run_id)) for u, v in pairs]
-        assert hot == cold
-        store.close()
-
-    def test_unknown_execution_stays_storage_error_after_promotion(
-        self, tmp_path, paper_spec, paper_run
-    ):
-        # promotion must not flip the error contract: an unknown execution
-        # raises StorageError with run context both before and after the
-        # run switches to the compiled engine
-        store, run_id = self._store_with_run(tmp_path, paper_spec, paper_run)
-        session = ProvenanceSession(store, promote_after=2)
-        bad = PointQuery(("ghost", 1), ("h", 1), run_id=run_id)
-        with pytest.raises(StorageError, match=f"run {run_id}"):
-            session.run(bad)
-        good = PointQuery(("a", 1), ("h", 1), run_id=run_id)
-        while run_id not in session.cache_stats()["promoted_runs"]:
-            session.run(good)
-        with pytest.raises(StorageError, match=f"run {run_id}"):
-            session.run(bad)
-        store.close()
-
-    def test_eviction_counter_surfaces(self, tmp_path, paper_spec):
-        from repro.storage import store as store_module
-
-        labeler = SkeletonLabeler(paper_spec, "tcm")
-        store = ProvenanceStore(tmp_path / "evict.db")
-        run_ids = []
-        for seed in range(store_module.STORED_RUN_CACHE_LIMIT + 2):
-            generated = generate_run_with_size(
-                paper_spec, 15, seed=seed, name=f"evict-{seed}"
-            )
-            run_ids.append(store.add_labeled_run(labeler.label_run(generated.run)))
-        session = ProvenanceSession(store)
-        for run_id in run_ids:
-            store.query_engine(run_id)
-        stats = session.cache_stats()
-        assert stats["evictions"] >= 2
-        assert stats["stored_runs_cached"] <= stats["limit"]
-        store.close()
 
 
 class TestSessionCacheStats:

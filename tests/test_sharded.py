@@ -559,19 +559,8 @@ class TestCacheStatsAndSession:
         assert stats["target_kind"] == "store"
         assert stats["shards"]["count"] == 4
         assert len(stats["shards"]["per_shard"]) == 4
-        assert stats["engines_cached"] >= 1
-        assert stats["limit"] > 0
-
-    def test_point_query_promotion_on_sharded_store(
-        self, sharded_store, labeled_batch
-    ):
-        ids = sharded_store.add_labeled_runs(labeled_batch)
-        session = ProvenanceSession(sharded_store, promote_after=2)
-        query = PointQuery(("a", 1), ("h", 1), run_id=ids[0])
-        for _ in range(4):
-            assert session.run(query) is True
-        stats = session.cache_stats()
-        assert stats["promoted_runs"] == [ids[0]]
+        assert stats["resident_runs"] >= 1
+        assert 0 < stats["resident_bytes"] <= stats["budget_bytes"]
 
     def test_run_label_arrays_many_across_shards(self, tmp_path):
         labeled = _synthetic_labeled_runs(

@@ -134,13 +134,13 @@ class TestSQLRoundTrips:
             counter.stop()
         assert counter.count("FROM run_labels") == 1
 
-    def test_per_pair_api_pays_two_selects_per_query(self, store, stored_run):
+    def test_per_pair_api_pays_one_select_per_query(self, store, stored_run):
         counter = _StatementCounter(store._connection)
         try:
             store._reaches(stored_run, ("a", 1), ("h", 1))
         finally:
             counter.stop()
-        assert counter.count("FROM run_labels") == 2
+        assert counter.count("FROM run_labels") == 1
 
     def test_dependency_sweep_is_one_round_trip(self, store, stored_run):
         counter = _StatementCounter(store._connection)
