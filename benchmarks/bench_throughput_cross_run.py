@@ -16,7 +16,6 @@ from __future__ import annotations
 from repro.api.queries import CrossRunQuery
 from repro.api.session import ProvenanceSession
 from repro.bench.experiments import comparison_specification, throughput_cross_run
-from repro.engine.kernels import HAS_NUMPY
 from repro.skeleton.skl import SkeletonLabeler
 from repro.storage.store import ProvenanceStore
 from repro.workflow.execution import generate_run_with_size
@@ -46,9 +45,6 @@ def test_throughput_cross_run(benchmark, bench_scale, report_sink):
     # rebuilding a full engine per run.
     for row in result.rows:
         assert row["speedup"] is not None and row["speedup"] >= 1.0, row
-
-    if not HAS_NUMPY:
-        return  # the vectorized sweep is the headline; fallback only breaks even
 
     if by_scheme["tcm"]["vertices_per_run"] >= 3_000:
         # The headline claim at default scale and above: compiling the spec

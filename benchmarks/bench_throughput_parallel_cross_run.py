@@ -28,7 +28,6 @@ from repro.bench.experiments import (
     comparison_specification,
     throughput_parallel_cross_run,
 )
-from repro.engine.kernels import HAS_NUMPY
 from repro.skeleton.skl import SkeletonLabeler
 from repro.storage.store import ProvenanceStore
 from repro.workflow.execution import generate_run_with_size
@@ -80,9 +79,6 @@ def test_throughput_parallel_cross_run(benchmark, bench_scale, report_sink, tmp_
     # inside the experiment before any number is reported.
     for row in result.rows:
         assert row["speedup"] is not None and row["speedup"] > 0, row
-
-    if not HAS_NUMPY:
-        return  # the vectorized streaming paths are the headline
 
     default_scale = rows[("sweep", "tcm", "thread")]["vertices_per_run"] >= 3_000
     if default_scale:

@@ -9,8 +9,6 @@ cold-store, with the speedup.  The acceptance bar is a >= 2x speedup at
 default scale on the range-labeled schemes (interval, tree-cover): the
 kernel leg always streams every label row out of SQLite before it can
 evaluate anything, while the pushdown leg returns only the matching rows.
-Without numpy the gap widens — the pushdown is then the only path that
-does not pay a pure-Python predicate loop per row.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 from repro.api.queries import CrossRunQuery
 from repro.api.session import ProvenanceSession
 from repro.bench.experiments import _pushdown_specification, throughput_sql_pushdown
-from repro.engine.kernels import HAS_NUMPY
 from repro.skeleton.skl import SkeletonLabeler
 from repro.storage.store import ProvenanceStore
 from repro.workflow.execution import generate_run_with_size
@@ -50,14 +47,6 @@ def test_throughput_sql_pushdown(benchmark, bench_scale, report_sink):
     # before any number is reported; here we gate the performance claim.
     for row in by_scheme.values():
         assert row["speedup"] is not None, row
-
-    if not HAS_NUMPY:
-        # Without numpy the kernel leg evaluates the range predicate in a
-        # pure-Python loop per row; pushing it into SQLite must still win
-        # clearly (measured far above this floor).
-        for row in by_scheme.values():
-            assert row["speedup"] >= 1.5, row
-        return
 
     if by_scheme["interval"]["vertices_per_run"] >= 3_000:
         # The headline claim at default scale and above: answering the sweep

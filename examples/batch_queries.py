@@ -9,8 +9,8 @@ each query to:
 
 1. label a run once with the skeleton scheme and open a session over it;
 2. answer a whole workload with one :class:`~repro.api.BatchQuery` (the
-   planner compiles a per-scheme kernel — vectorized when numpy is
-   available) and compare the throughput with the per-pair loop;
+   planner compiles a vectorized per-scheme kernel) and compare the
+   throughput with the per-pair loop;
 3. replay the workload handle-natively: intern it **once**, then pass the
    integer arrays back through a ``BatchQuery`` — the object -> id
    resolution disappears from the hot path;

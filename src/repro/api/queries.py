@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
+import numpy as _np
+
 from repro.exceptions import QueryPlanError
 
 __all__ = [
@@ -296,17 +298,9 @@ class CrossRunBatchResult:
         return len(self.per_run)
 
     def matrix(self):
-        """The runs x pairs answers, rows in :attr:`run_ids` order.
-
-        A numpy boolean array when numpy is installed, a list of lists
-        otherwise.
-        """
+        """The runs x pairs boolean answer array, rows in :attr:`run_ids` order."""
         rows = [self.per_run[run_id] for run_id in self.run_ids]
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy-less installs
-            return [list(row) for row in rows]
-        return np.asarray(rows, dtype=bool).reshape(len(rows), len(self.pairs))
+        return _np.asarray(rows, dtype=bool).reshape(len(rows), len(self.pairs))
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,9 @@ rejected up front.  Replaying a matching file is pure I/O plus one
 ``reaches_many_ids`` call: no parsing, no dictionary lookups.
 
 The on-wire byte order is **always** little-endian, whatever the host:
-both codec paths spell the byte order out explicitly (``"<i8"`` for numpy,
-``"<...q"`` struct formats for the stdlib fallback), and decoded arrays
-are normalized to the host's native order so kernels never operate on
-byte-swapped views.  A workload packed on one architecture replays
+the codec spells the byte order out explicitly (numpy's ``"<i8"``), and
+decoded arrays are normalized to the host's native order so kernels never
+operate on byte-swapped views.  A workload packed on one architecture replays
 unchanged on any other — this encoding is also the wire format of the
 provenance network service's batch op (:mod:`repro.server.protocol`).
 
@@ -31,17 +30,12 @@ provenance network service's batch op (:mod:`repro.server.protocol`).
 
 from __future__ import annotations
 
-import struct
-from array import array
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.exceptions import SerializationError
+import numpy as _np
 
-try:  # numpy accelerates the (de)serialization but is strictly optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
+from repro.exceptions import SerializationError
 
 __all__ = [
     "write_pair_workload",
@@ -77,18 +71,10 @@ def encode_pair_workload(source_ids, target_ids, *, run_id: int) -> bytes:
             f"({count} != {len(target_ids)})"
         )
     header = WORKLOAD_MAGIC + int(run_id).to_bytes(8, "little", signed=True)
-    if _np is not None:
-        flat = _np.empty(2 * count, dtype="<i8")
-        flat[0::2] = source_ids
-        flat[1::2] = target_ids
-        return header + flat.tobytes()
-    # explicit little-endian struct format: host-independent by
-    # construction, no byteorder branches to keep correct
-    flat = []
-    for source_id, target_id in zip(source_ids, target_ids):
-        flat.append(int(source_id))
-        flat.append(int(target_id))
-    return header + struct.pack(f"<{2 * count}q", *flat)
+    flat = _np.empty(2 * count, dtype="<i8")
+    flat[0::2] = source_ids
+    flat[1::2] = target_ids
+    return header + flat.tobytes()
 
 
 def write_pair_workload(path: PathLike, source_ids, target_ids, *, run_id: int) -> int:
@@ -129,16 +115,12 @@ def decode_pair_workload(data: bytes, *, expect_run_id: Optional[int] = None):
             f"not a binary pair workload: {len(body)} payload bytes is not "
             f"a multiple of {_ROW_BYTES} (two little-endian int64 columns)"
         )
-    if _np is not None:
-        flat = _np.frombuffer(body, dtype="<i8")
-        if not flat.dtype.isnative:
-            # big-endian host: normalize to a native int64 copy so every
-            # downstream kernel sees plain machine integers
-            flat = flat.astype(flat.dtype.newbyteorder("="))
-        return run_id, flat[0::2], flat[1::2]
-    count = len(body) // 8
-    values = struct.unpack(f"<{count}q", body)
-    return run_id, array("q", values[0::2]), array("q", values[1::2])
+    flat = _np.frombuffer(body, dtype="<i8")
+    if not flat.dtype.isnative:
+        # big-endian host: normalize to a native int64 copy so every
+        # downstream kernel sees plain machine integers
+        flat = flat.astype(flat.dtype.newbyteorder("="))
+    return run_id, flat[0::2], flat[1::2]
 
 
 def read_pair_workload(path: PathLike, *, expect_run_id: Optional[int] = None):

@@ -12,8 +12,8 @@ against a stored run.  This subsystem provides the batch-oriented path:
   vertex's label once, memoizes hot point-query pairs in an LRU cache and
   dispatches batches to a per-scheme kernel;
 * :mod:`repro.engine.kernels` — the compiled per-index batch kernels
-  (numpy-vectorized where numpy is available, a pure-python fallback
-  otherwise);
+  (numpy-vectorized for every scheme with an array kernel, the scheme's
+  own ``reaches_many`` loop for the rest);
 * :class:`~repro.engine.query.EngineStats` — running counters (queries,
   batches, cache hits) for capacity planning and tests.
 

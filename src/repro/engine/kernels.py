@@ -38,14 +38,16 @@ they offer two entry points:
 * ``numpy-2hop`` — :class:`~repro.labeling.twohop.TwoHopIndex`: the hop
   sets are bit-packed over the distinct hop centers, making a query a
   byte-row AND plus an any-reduction (capped by :data:`PACKED_HOP_LIMIT`);
-* ``python-generic`` — everything else (and every index when numpy is not
-  installed): a persistent vertex→label table plus the scheme's own
-  ``reaches_many`` batch path (which for the traversal schemes groups
-  queries by source over a :class:`~repro.graphs.csr.CSRGraph`).
+* ``python-generic`` — everything else (the traversal schemes, indexes
+  with no ``kernel_hint``, and tcm or 2-hop graphs past
+  :data:`PACKED_TCM_LIMIT` / :data:`PACKED_HOP_LIMIT`): a persistent
+  vertex→label table plus the scheme's own ``reaches_many`` batch path
+  (which for the traversal schemes groups queries by source over a
+  :class:`~repro.graphs.csr.CSRGraph`).
 
 A target declaring ``kernel_hint = "columns"`` (a provenance store's
 resident label columns) is its own kernel: it evaluates batches through
-:meth:`SpecKernel.pairs`, with or without numpy.
+:meth:`SpecKernel.pairs`.
 
 Kernels are internal to :mod:`repro.engine`; the public surface is
 :class:`~repro.engine.query.QueryEngine`.
@@ -55,6 +57,8 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
+import numpy as _np
+
 from repro.exceptions import LabelingError
 from repro.graphs.handles import intern_pair_arrays
 from repro.labeling.chain import ChainIndex
@@ -63,23 +67,15 @@ from repro.labeling.tcm import TCMIndex
 from repro.labeling.tree_cover import TreeCoverIndex
 from repro.labeling.twohop import TwoHopIndex
 
-try:  # numpy accelerates the kernels but is strictly optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
-
 __all__ = [
     "build_kernel",
     "check_handles",
     "SpecKernel",
     "compile_spec_kernel",
-    "HAS_NUMPY",
     "DENSE_SPEC_LIMIT",
     "PACKED_TCM_LIMIT",
     "PACKED_HOP_LIMIT",
 ]
-
-HAS_NUMPY = _np is not None
 
 #: largest specification for which a dense nG x nG reachability matrix is
 #: precomputed (one byte per pair; non-TCM schemes additionally pay nG²
@@ -113,24 +109,23 @@ def build_kernel(index: Any, *, spec_kernel: Optional["SpecKernel"] = None):
     hint = getattr(index, "kernel_hint", None)
     if hint == "columns":
         return index
-    if _np is not None:
-        if hint == "skl":
-            return _SkeletonKernel(index, spec_kernel=spec_kernel)
-        if hint == "tcm" and index.closure.vertex_count <= PACKED_TCM_LIMIT:
-            return _PackedTCMKernel(index)
-        if hint == "interval":
-            return _IntervalKernel(index)
-        if hint == "tree-cover":
-            return _TreeCoverKernel(index)
-        if hint == "chain":
-            return _ChainKernel(index)
-        if hint == "2-hop" and index.graph.vertex_count <= PACKED_HOP_LIMIT:
-            return _TwoHopKernel(index)
+    if hint == "skl":
+        return _SkeletonKernel(index, spec_kernel=spec_kernel)
+    if hint == "tcm" and index.closure.vertex_count <= PACKED_TCM_LIMIT:
+        return _PackedTCMKernel(index)
+    if hint == "interval":
+        return _IntervalKernel(index)
+    if hint == "tree-cover":
+        return _TreeCoverKernel(index)
+    if hint == "chain":
+        return _ChainKernel(index)
+    if hint == "2-hop" and index.graph.vertex_count <= PACKED_HOP_LIMIT:
+        return _TwoHopKernel(index)
     return _GenericKernel(index)
 
 
 # ----------------------------------------------------------------------
-# pure-python fallback
+# schemes without an array kernel
 # ----------------------------------------------------------------------
 class _GenericKernel:
     """Persistent label table + the scheme's own ``reaches_many`` loop.
@@ -218,14 +213,12 @@ class _ArrayKernel:
 def check_handles(source_ids, target_ids, size: int):
     """Validate two parallel handle sequences into a universe of *size*.
 
-    Returns them as ``int64`` arrays with numpy (unchanged without); a
-    shape mismatch or a handle outside ``0 .. size-1`` raises
-    :class:`~repro.exceptions.LabelingError`.
+    Returns them as ``int64`` arrays; a shape mismatch or a handle outside
+    ``0 .. size-1`` raises :class:`~repro.exceptions.LabelingError`.
     """
-    if _np is not None:
-        source_ids = _np.asarray(source_ids, dtype=_np.int64)
-        target_ids = _np.asarray(target_ids, dtype=_np.int64)
-    shapes = [ids.shape if _np is not None else (len(ids),) for ids in (source_ids, target_ids)]
+    source_ids = _np.asarray(source_ids, dtype=_np.int64)
+    target_ids = _np.asarray(target_ids, dtype=_np.int64)
+    shapes = [ids.shape for ids in (source_ids, target_ids)]
     if shapes[0] != shapes[1] or len(shapes[0]) != 1:
         raise LabelingError(
             "source_ids and target_ids must be parallel one-dimensional "
@@ -233,10 +226,7 @@ def check_handles(source_ids, target_ids, size: int):
         )
     for ids in (source_ids, target_ids):
         if len(ids):
-            low, high = (
-                (int(ids.min()), int(ids.max())) if _np is not None
-                else (min(ids), max(ids))
-            )
+            low, high = int(ids.min()), int(ids.max())
             if low < 0 or high >= size:
                 raise LabelingError(
                     f"unknown vertex handle: {low if low < 0 else high!r}"
@@ -272,7 +262,7 @@ def _spec_reachability_matrix(spec_index: Any):
     if not getattr(spec_index, "stable_labels", True):
         # Traversal-backed spec indexes answer from the live specification
         # graph; snapshotting them into a matrix would freeze answers the
-        # per-pair path (and the pure-python kernel) keep fresh.
+        # per-pair path (and the generic kernel) keep fresh.
         return None, None
     if type(spec_index) is TCMIndex:
         closure = spec_index.closure
@@ -329,10 +319,7 @@ class SpecKernel:
         # sharing consumer (engines, the store's per-spec cache) knows to
         # swap in a `recompiled()` instance.
         self.spec_version = getattr(spec_index, "update_version", None)
-        if _np is not None:
-            self.matrix, self.position_of = _spec_reachability_matrix(spec_index)
-        else:
-            self.matrix, self.position_of = None, None
+        self.matrix, self.position_of = _spec_reachability_matrix(spec_index)
         if self.position_of is None:
             self.position_of = {
                 module: i for i, module in enumerate(spec_index.graph.vertices())
@@ -358,8 +345,6 @@ class SpecKernel:
         A position is the module's row in the dense matrix when there is
         one, and its index in :attr:`modules` always.
         """
-        if _np is None:
-            return list(map(self.position_of.__getitem__, modules))
         return _np.fromiter(
             map(self.position_of.__getitem__, modules),
             dtype=_np.int64,
@@ -396,41 +381,36 @@ class SpecKernel:
         anchor's own row forced ``False``, matching the dependency-sweep
         contract of excluding the anchor itself.
         """
-        if _np is not None:
-            q1, q2, q3 = (_np.asarray(q, dtype=_np.int64) for q in (q1, q2, q3))
-            q1a, q2a, q3a = int(q1[anchor]), int(q2[anchor]), int(q3[anchor])
+        q1, q2, q3 = (_np.asarray(q, dtype=_np.int64) for q in (q1, q2, q3))
+        q1a, q2a, q3a = int(q1[anchor]), int(q2[anchor]), int(q3[anchor])
+        if downstream:
+            fast_mask = (q2a - q2) * (q3a - q3) < 0
+            fast = (q1a < q1) & (q3a > q3)
+        else:
+            fast_mask = (q2 - q2a) * (q3 - q3a) < 0
+            fast = (q1 < q1a) & (q3 > q3a)
+        if self.matrix is not None:
+            origins = _np.asarray(origins)
             if downstream:
-                fast_mask = (q2a - q2) * (q3a - q3) < 0
-                fast = (q1a < q1) & (q3a > q3)
+                skeleton = self.matrix[origins[anchor], origins]
             else:
-                fast_mask = (q2 - q2a) * (q3 - q3a) < 0
-                fast = (q1 < q1a) & (q3 > q3a)
-            if self.matrix is not None:
-                origins = _np.asarray(origins)
-                if downstream:
-                    skeleton = self.matrix[origins[anchor], origins]
-                else:
-                    skeleton = self.matrix[origins, origins[anchor]]
-                answers = _np.where(fast_mask, fast, skeleton)
-                answers[anchor] = False
-                return answers
-            answers = fast & fast_mask
-            fallthrough = _np.flatnonzero(~fast_mask).tolist()
-            for i, answer in zip(
-                fallthrough,
-                self._sweep_fallthrough(origins, anchor, fallthrough, downstream),
-            ):
-                answers[i] = answer
+                skeleton = self.matrix[origins, origins[anchor]]
+            answers = _np.where(fast_mask, fast, skeleton)
             answers[anchor] = False
             return answers
-        return self._sweep_python(q1, q2, q3, origins, anchor, downstream)
+        answers = fast & fast_mask
+        fallthrough = _np.flatnonzero(~fast_mask).tolist()
+        for i, answer in zip(
+            fallthrough,
+            self._sweep_fallthrough(origins, anchor, fallthrough, downstream),
+        ):
+            answers[i] = answer
+        answers[anchor] = False
+        return answers
 
     def _spec_labels(self, origins, rows) -> list:
         """The spec labels of the origin modules at *rows*."""
-        if _np is not None:
-            positions = _np.asarray(origins)[rows].tolist()
-        else:
-            positions = [origins[row] for row in rows]
+        positions = _np.asarray(origins)[rows].tolist()
         return list(map(self._label_of, map(self.modules.__getitem__, positions)))
 
     def _sweep_fallthrough(self, origins, anchor, rows, downstream):
@@ -447,12 +427,8 @@ class SpecKernel:
         """Spec-label answers for the fall-through *slots* of a pair batch."""
         if not slots:
             return []
-        if _np is not None:
-            sources = _np.asarray(source_rows)[slots]
-            targets = _np.asarray(target_rows)[slots]
-        else:
-            sources = [source_rows[i] for i in slots]
-            targets = [target_rows[i] for i in slots]
+        sources = _np.asarray(source_rows)[slots]
+        targets = _np.asarray(target_rows)[slots]
         return self.spec_index.reaches_many(
             list(
                 zip(
@@ -475,38 +451,20 @@ class SpecKernel:
         asked of every run of a specification, each run contributing only
         its streamed label columns.
         """
-        if _np is not None:
-            q1, q2, q3 = (_np.asarray(q, dtype=_np.int64) for q in (q1, q2, q3))
-            s = _np.asarray(source_rows, dtype=_np.int64)
-            t = _np.asarray(target_rows, dtype=_np.int64)
-            q2s, q2t = q2[s], q2[t]
-            q3s, q3t = q3[s], q3[t]
-            fast_mask = (q2s - q2t) * (q3s - q3t) < 0
-            fast = (q1[s] < q1[t]) & (q3s > q3t)
-            if self.matrix is not None:
-                origins = _np.asarray(origins)
-                return _np.where(fast_mask, fast, self.matrix[origins[s], origins[t]])
-            answers = fast & fast_mask
-            fallthrough = _np.flatnonzero(~fast_mask).tolist()
-            for i, answer in zip(
-                fallthrough, self._pairs_fallthrough(origins, s, t, fallthrough)
-            ):
-                answers[i] = answer
-            return answers
-        return self._pairs_python(q1, q2, q3, origins, source_rows, target_rows)
-
-    def _pairs_python(self, q1, q2, q3, origins, source_rows, target_rows):
-        """Pure-python pair evaluation used when numpy is unavailable."""
-        answers = [False] * len(source_rows)
-        fallthrough: list[int] = []
-        for slot, (s, t) in enumerate(zip(source_rows, target_rows)):
-            if (q2[s] - q2[t]) * (q3[s] - q3[t]) < 0:
-                answers[slot] = q1[s] < q1[t] and q3[s] > q3[t]
-            else:
-                fallthrough.append(slot)
+        q1, q2, q3 = (_np.asarray(q, dtype=_np.int64) for q in (q1, q2, q3))
+        s = _np.asarray(source_rows, dtype=_np.int64)
+        t = _np.asarray(target_rows, dtype=_np.int64)
+        q2s, q2t = q2[s], q2[t]
+        q3s, q3t = q3[s], q3[t]
+        fast_mask = (q2s - q2t) * (q3s - q3t) < 0
+        fast = (q1[s] < q1[t]) & (q3s > q3t)
+        if self.matrix is not None:
+            origins = _np.asarray(origins)
+            return _np.where(fast_mask, fast, self.matrix[origins[s], origins[t]])
+        answers = fast & fast_mask
+        fallthrough = _np.flatnonzero(~fast_mask).tolist()
         for i, answer in zip(
-            fallthrough,
-            self._pairs_fallthrough(origins, source_rows, target_rows, fallthrough),
+            fallthrough, self._pairs_fallthrough(origins, s, t, fallthrough)
         ):
             answers[i] = answer
         return answers
@@ -529,31 +487,6 @@ class SpecKernel:
         if (q2s - q2t) * (q3s - q3t) < 0:
             return bool(q1s < q1t and q3s > q3t)
         return self.pair_fallthrough(source_origin, target_origin)
-
-    def _sweep_python(self, q1, q2, q3, origins, anchor, downstream):
-        """Pure-python sweep used when numpy is unavailable."""
-        size = len(q1)
-        answers = [False] * size
-        q1a, q2a, q3a = q1[anchor], q2[anchor], q3[anchor]
-        fallthrough: list[int] = []
-        for i in range(size):
-            if downstream:
-                mask = (q2a - q2[i]) * (q3a - q3[i]) < 0
-                fast = q1a < q1[i] and q3a > q3[i]
-            else:
-                mask = (q2[i] - q2a) * (q3[i] - q3a) < 0
-                fast = q1[i] < q1a and q3[i] > q3a
-            if mask:
-                answers[i] = fast
-            else:
-                fallthrough.append(i)
-        for i, answer in zip(
-            fallthrough,
-            self._sweep_fallthrough(origins, anchor, fallthrough, downstream),
-        ):
-            answers[i] = answer
-        answers[anchor] = False
-        return answers
 
 
 def compile_spec_kernel(spec_index: Any) -> SpecKernel:
@@ -686,8 +619,9 @@ class _TreeCoverKernel(_ArrayKernel):
         flat = [pair for label in labels for pair in label.intervals]
         lows = _np.fromiter((low for low, _ in flat), dtype=_np.int64, count=len(flat))
         highs = _np.fromiter((high for _, high in flat), dtype=_np.int64, count=len(flat))
-        # postorder numbers are 1..n, so n + 2 separates the segments
-        self._stride = self._size + 2
+        # postorder numbers start at 1 but pass n once an edge update
+        # renumbers a forest subtree, so the stride comes from the labels
+        self._stride = int(max(self._post.max(initial=0), highs.max(initial=0))) + 2
         owners = _np.repeat(_np.arange(self._size, dtype=_np.int64), counts)
         self._encoded_low = owners * self._stride + lows
         self._offsets = offsets

@@ -34,14 +34,11 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Iterable
 
+import numpy as _np
+
 from repro.engine.kernels import check_handles, compile_spec_kernel
 from repro.engine.query import DEFAULT_CACHE_SIZE
 from repro.exceptions import LabelingError
-
-try:  # numpy accelerates the kernel but is strictly optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 __all__ = ["OnlineKernel", "OnlineKernelStats"]
 
@@ -148,20 +145,11 @@ class OnlineKernel:
         position_of = self._spec_kernel.position_of
         self._origins = [position_of[vertex.module] for vertex in self._vertices]
         self._capacity = max(8, size)
-        if _np is not None:
-            self._q1 = _np.empty(self._capacity, dtype=_np.int64)
-            self._q2 = _np.empty(self._capacity, dtype=_np.int64)
-            self._q3 = _np.empty(self._capacity, dtype=_np.int64)
-            for i, node_id in enumerate(context.values()):
-                self._q1[i], self._q2[i], self._q3[i] = self._positions[node_id]
-        else:
-            from array import array
-
-            self._q1 = array("q", bytes(8 * self._capacity))
-            self._q2 = array("q", bytes(8 * self._capacity))
-            self._q3 = array("q", bytes(8 * self._capacity))
-            for i, node_id in enumerate(context.values()):
-                self._q1[i], self._q2[i], self._q3[i] = self._positions[node_id]
+        self._q1 = _np.empty(self._capacity, dtype=_np.int64)
+        self._q2 = _np.empty(self._capacity, dtype=_np.int64)
+        self._q3 = _np.empty(self._capacity, dtype=_np.int64)
+        for i, node_id in enumerate(context.values()):
+            self._q1[i], self._q2[i], self._q3[i] = self._positions[node_id]
         self._count = size
         self._plan_len = len(online.plan)
         self._pair_cache.clear()
@@ -179,18 +167,10 @@ class OnlineKernel:
 
     def _grow(self) -> None:
         new_capacity = max(8, self._capacity * 2)
-        if _np is not None:
-            for name in ("_q1", "_q2", "_q3"):
-                grown = _np.empty(new_capacity, dtype=_np.int64)
-                grown[: self._count] = getattr(self, name)[: self._count]
-                setattr(self, name, grown)
-        else:
-            from array import array
-
-            for name in ("_q1", "_q2", "_q3"):
-                grown = array("q", bytes(8 * new_capacity))
-                grown[: self._count] = getattr(self, name)[: self._count]
-                setattr(self, name, grown)
+        for name in ("_q1", "_q2", "_q3"):
+            grown = _np.empty(new_capacity, dtype=_np.int64)
+            grown[: self._count] = getattr(self, name)[: self._count]
+            setattr(self, name, grown)
         self._capacity = new_capacity
 
     # ------------------------------------------------------------------
@@ -257,12 +237,10 @@ class OnlineKernel:
                     raise LabelingError(f"execution {vertex} has not been recorded")
             sources.append(id_of[source])
             targets.append(id_of[target])
-        if _np is not None:
-            return (
-                _np.asarray(sources, dtype=_np.int64),
-                _np.asarray(targets, dtype=_np.int64),
-            )
-        return sources, targets
+        return (
+            _np.asarray(sources, dtype=_np.int64),
+            _np.asarray(targets, dtype=_np.int64),
+        )
 
     # ------------------------------------------------------------------
     # queries
@@ -303,8 +281,7 @@ class OnlineKernel:
         """Answer a batch of ``(source, target)`` pairs, one boolean per pair."""
         pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
         source_ids, target_ids = self.intern_pairs(pairs)
-        answers = self._evaluate_rows(source_ids, target_ids)
-        return answers.tolist() if _np is not None else answers
+        return self._evaluate_rows(source_ids, target_ids).tolist()
 
     def reaches_many_ids(self, source_ids, target_ids):
         """Answer a pre-interned batch of append-order handles."""
@@ -312,11 +289,7 @@ class OnlineKernel:
         return self._evaluate_rows(*check_handles(source_ids, target_ids, self._count))
 
     def _rows(self):
-        """The live portion of the capacity-doubled coordinate arrays.
-
-        Numpy slices are zero-copy views; the ``array('q')`` fallback pays
-        one copy per call, which the batch it serves amortizes.
-        """
+        """Zero-copy views of the live portion of the capacity-doubled arrays."""
         n = self._count
         return self._q1[:n], self._q2[:n], self._q3[:n]
 
@@ -339,6 +312,4 @@ class OnlineKernel:
             downstream=downstream,
         )
         vertices = self._vertices
-        if _np is not None and isinstance(answers, _np.ndarray):
-            return [vertices[i] for i in _np.flatnonzero(answers).tolist()]
-        return [vertices[i] for i, answer in enumerate(answers) if answer]
+        return [vertices[i] for i in _np.flatnonzero(answers).tolist()]

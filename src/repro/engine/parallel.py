@@ -54,14 +54,11 @@ from concurrent.futures import ThreadPoolExecutor, TimeoutError as FuturesTimeou
 from typing import Any, Optional, Sequence
 from urllib.parse import quote
 
+import numpy as _np
+
 from repro import faults
 from repro.exceptions import QueryPlanError, WorkerCrashError
 from repro.faults import fault_point
-
-try:  # numpy accelerates the kernels but is strictly optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 __all__ = [
     "CrossRunExecutor",
@@ -147,13 +144,6 @@ def resolve_workers(workers: Optional[int], run_count: int) -> int:
     if cpus <= 1 or run_count < PARALLEL_MIN_RUNS:
         return 1
     return max(1, min(cpus, MAX_AUTO_WORKERS, run_count))
-
-
-def _true_positions(answers) -> list[int]:
-    """Row indices answered True (numpy fast path when the array allows)."""
-    if _np is not None and isinstance(answers, _np.ndarray):
-        return _np.flatnonzero(answers).tolist()
-    return [i for i, answer in enumerate(answers) if answer]
 
 
 def _readonly_connection(path):
@@ -412,7 +402,7 @@ class CrossRunExecutor:
                 downstream=downstream,
             )
             return run_id, _pack_affected(
-                arrays.executions, _true_positions(answers)
+                arrays.executions, _np.flatnonzero(answers).tolist()
             )
 
         if workers <= 1:

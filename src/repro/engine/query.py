@@ -7,11 +7,13 @@ Python dispatch: two ``label_of`` calls and several method hops per query.
 per index (:mod:`repro.engine.kernels`):
 
 1. **label resolution** — every distinct vertex is resolved to its label
-   (and, with numpy available, into handle-indexed parallel arrays) exactly
-   once when the kernel is built, so a batch never re-derives labels;
+   (and, for the array kernels, into handle-indexed parallel arrays)
+   exactly once when the kernel is built, so a batch never re-derives
+   labels;
 2. **batch dispatch** — :meth:`QueryEngine.reaches_batch` hands the whole
    workload to the kernel, which answers it vectorized (numpy kernels) or
-   with the scheme's own tight ``reaches_many`` loop (pure-python fallback);
+   with the scheme's own tight ``reaches_many`` loop (the generic kernel of
+   schemes without an array kernel);
 3. **handle-native entry points** — :meth:`QueryEngine.intern_pairs` maps a
    workload's vertex pairs to integer handles **once**, after which
    :meth:`QueryEngine.reaches_many_ids` replays it with zero per-query
@@ -367,8 +369,8 @@ class QueryEngine:
 
         This is the replay hot path: no vertex objects are touched at all.
         Under a numpy kernel the result is the kernel's boolean array
-        (convert with ``list(...)`` if needed); the pure-python fallback
-        returns a list.  Out-of-range handles raise
+        (convert with ``list(...)`` if needed); the generic kernel returns
+        a list.  Out-of-range handles raise
         :class:`~repro.exceptions.LabelingError`.
         """
         answers = self._kernel.batch_ids(source_ids, target_ids)

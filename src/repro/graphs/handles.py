@@ -8,8 +8,7 @@ first-class surface here:
 * :class:`VertexInterner` — a bijective table between arbitrary hashable
   vertices and dense integer *handles* ``0 .. n-1`` in insertion order;
 * :func:`resolve_pair_ids` — the one-pass boundary conversion from
-  ``(source, target)`` vertex pairs to two parallel handle arrays
-  (numpy-backed when numpy is installed).
+  ``(source, target)`` vertex pairs to two parallel numpy handle arrays.
 
 The contract throughout the library is that the object -> handle mapping
 happens **once** at the boundary of a workload: callers intern their
@@ -19,23 +18,16 @@ predicates, engine kernels, the provenance store — moves integers around.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from typing import Optional
 
-from repro.exceptions import LabelingError, VertexNotFoundError
+import numpy as _np
 
-try:  # numpy accelerates the boundary conversion but is strictly optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
+from repro.exceptions import LabelingError, VertexNotFoundError
 
 __all__ = ["VertexInterner", "resolve_pair_ids", "intern_pair_arrays"]
 
 Vertex = Hashable
-
-#: array typecode for vertex identifiers (signed 64-bit, plenty for any graph)
-_ID_TYPECODE = "q"
 
 
 class VertexInterner:
@@ -114,20 +106,16 @@ def resolve_pair_ids(id_map: dict, pairs: Sequence[tuple]):
     """Map ``(source, target)`` vertex pairs to two parallel handle arrays.
 
     The conversion is a single C-level pass (``numpy.fromiter`` over a
-    ``map``); without numpy a ``array('q')`` stands in, so callers can rely
-    on getting an indexable integer sequence either way.  A pair member
-    missing from *id_map* raises :class:`~repro.exceptions.VertexNotFoundError`.
+    ``map``) into ``int64`` arrays.  A pair member missing from *id_map*
+    raises :class:`~repro.exceptions.VertexNotFoundError`.
     """
     flattened = (vertex for pair in pairs for vertex in pair)
     try:
-        if _np is not None:
-            flat = _np.fromiter(
-                map(id_map.__getitem__, flattened),
-                dtype=_np.int64,
-                count=2 * len(pairs),
-            )
-        else:
-            flat = array(_ID_TYPECODE, map(id_map.__getitem__, flattened))
+        flat = _np.fromiter(
+            map(id_map.__getitem__, flattened),
+            dtype=_np.int64,
+            count=2 * len(pairs),
+        )
     except KeyError as exc:
         raise VertexNotFoundError(exc.args[0]) from None
     return flat[0::2], flat[1::2]

@@ -44,6 +44,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as _np
+
 from repro.engine.kernels import SpecKernel, check_handles, compile_spec_kernel
 from repro.engine.query import QueryEngine
 from repro.exceptions import LabelingError, StorageError
@@ -70,11 +72,6 @@ from repro.workflow.serialization import (
     specification_to_json,
 )
 from repro.workflow.specification import WorkflowSpecification
-
-try:  # numpy accelerates the streaming label arrays but is strictly optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 __all__ = [
     "ProvenanceStore",
@@ -113,10 +110,10 @@ class RunLabelArrays:
     This is the streaming form the cross-run sweep consumes: no
     :class:`~repro.skeleton.labels.RunLabel` objects, no interner, no spec
     label resolution — just the three context-coordinate columns (numpy
-    ``int64`` arrays when numpy is installed, ``array('q')`` otherwise),
-    the parallel origin-module names, and the ``(module, instance)``
-    executions for reporting.  Row order follows the persisted interner
-    (the ``vertex_id`` column), like every other handle surface.
+    ``int64`` arrays), the parallel origin-module names, and the
+    ``(module, instance)`` executions for reporting.  Row order follows
+    the persisted interner (the ``vertex_id`` column), like every other
+    handle surface.
     """
 
     run_id: int
@@ -176,19 +173,14 @@ def load_label_arrays(
             rid_col, modules, instances, q1_col, q2_col, q3_col, vid_col = zip(*rows)
         else:
             rid_col = modules = instances = q1_col = q2_col = q3_col = vid_col = ()
-        order = _handle_order(rid_col, vid_col, modules, instances)
-        if _np is not None:
-            order = _np.asarray(order, dtype=_np.intp)
-            columns = [
-                _np.fromiter(column, dtype=_np.int64, count=len(rows))[order]
-                for column in (q1_col, q2_col, q3_col)
-            ]
-            order = order.tolist()
-        else:
-            columns = [
-                array("q", [column[i] for i in order])
-                for column in (q1_col, q2_col, q3_col)
-            ]
+        order = _np.asarray(
+            _handle_order(rid_col, vid_col, modules, instances), dtype=_np.intp
+        )
+        columns = [
+            _np.fromiter(column, dtype=_np.int64, count=len(rows))[order]
+            for column in (q1_col, q2_col, q3_col)
+        ]
+        order = order.tolist()
         modules = [modules[i] for i in order]
         instances = [instances[i] for i in order]
         for run_id in chunk:
@@ -215,16 +207,15 @@ def _handle_order(run_ids, vertex_ids, modules, instances):
     ``(module, instance)`` order.
     """
     count = len(run_ids)
-    if _np is not None:
-        try:
-            return _np.lexsort(
-                (
-                    _np.fromiter(vertex_ids, dtype=_np.int64, count=count),
-                    _np.fromiter(run_ids, dtype=_np.int64, count=count),
-                )
+    try:
+        return _np.lexsort(
+            (
+                _np.fromiter(vertex_ids, dtype=_np.int64, count=count),
+                _np.fromiter(run_ids, dtype=_np.int64, count=count),
             )
-        except TypeError:  # a NULL vertex_id: sort as without numpy
-            pass
+        )
+    except TypeError:  # a NULL vertex_id: lexsort cannot order it
+        pass
     return sorted(
         range(count),
         key=lambda i: (
@@ -890,15 +881,14 @@ class ProvenanceStore:
         _require_complete(run_id, endpoints, found)
         row_of = {execution: row for row, execution in enumerate(endpoints)}
         q1, q2, q3 = zip(*map(found.__getitem__, endpoints))
-        answers = kernel.pairs(
+        return kernel.pairs(
             q1,
             q2,
             q3,
             kernel.origin_positions([module for module, _ in endpoints]),
             [row_of[source] for source, _ in coerced],
             [row_of[target] for _, target in coerced],
-        )
-        return answers if isinstance(answers, list) else answers.tolist()
+        ).tolist()
 
     def _dependency_sweep(
         self,
@@ -1127,7 +1117,7 @@ class _ResidentRun:
     """
 
     kernel_hint = "columns"
-    name = "numpy-columns" if _np is not None else "python-columns"
+    name = "numpy-columns"
 
     def __init__(self, run_id: int, arrays: RunLabelArrays, kernel: SpecKernel) -> None:
         self.run_id = run_id
@@ -1137,19 +1127,11 @@ class _ResidentRun:
         origins = kernel.origin_positions(arrays.origins)
         self._low = min(instances, default=0)
         self._stride = max(instances, default=0) - self._low + 1
-        if _np is not None:
-            keys = _np.asarray(origins) * self._stride + (
-                _np.asarray(instances, dtype=_np.int64) - self._low
-            )
-            order = _np.argsort(keys, kind="stable")
-            keys = keys[order]
-        else:
-            keys = [
-                position * self._stride + instance - self._low
-                for position, instance in zip(origins, instances)
-            ]
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            keys = [keys[row] for row in order]
+        keys = _np.asarray(origins) * self._stride + (
+            _np.asarray(instances, dtype=_np.int64) - self._low
+        )
+        order = _np.argsort(keys, kind="stable")
+        keys = keys[order]
         columns = (arrays.q1, arrays.q2, arrays.q3, origins, instances, keys, order)
         (
             self.q1, self.q2, self.q3, self.origins, self.instances,
@@ -1174,9 +1156,9 @@ class _ResidentRun:
         raise error(f"run {self.run_id} has no label for execution {module}{instance}")
 
     def rows(self, executions: Sequence[tuple[str, int]], error=StorageError):
-        """The rows of many executions, in order (an array with numpy)."""
-        if _np is None or not executions:
-            return [self.row(execution, error) for execution in executions]
+        """The rows of many executions, in order, as an array."""
+        if not executions:
+            return _np.empty(0, dtype=_np.int64)
         count = len(executions)
         modules, instances = zip(*executions)
         positions = _np.fromiter(
@@ -1197,12 +1179,8 @@ class _ResidentRun:
 
     def _vertices(self, rows) -> list[RunVertex]:
         """The executions at *rows*, as :class:`RunVertex` answers."""
-        if _np is not None:
-            origins = _view(self.origins)[rows].tolist()
-            instances = _view(self.instances)[rows].tolist()
-        else:
-            origins = [self.origins[row] for row in rows]
-            instances = [self.instances[row] for row in rows]
+        origins = _view(self.origins)[rows].tolist()
+        instances = _view(self.instances)[rows].tolist()
         # tuple.__new__ is what RunVertex(...) runs, minus a Python frame
         return list(
             map(
@@ -1224,8 +1202,7 @@ class _ResidentRun:
 
     def reaches_batch(self, pairs: Sequence[tuple]) -> list[bool]:
         """One answer per ``(source, target)`` execution pair, in order."""
-        answers = self.reaches_many_ids(*self.intern_pairs(pairs, StorageError))
-        return answers if isinstance(answers, list) else answers.tolist()
+        return self.reaches_many_ids(*self.intern_pairs(pairs, StorageError)).tolist()
 
     def sweep(self, anchor: tuple[str, int], *, downstream: bool) -> list[RunVertex]:
         """Every execution *anchor* reaches (or that reaches it), in handle order."""
@@ -1233,9 +1210,7 @@ class _ResidentRun:
             self.q1, self.q2, self.q3, self.origins, self.row(anchor),
             downstream=downstream,
         )
-        if _np is not None:
-            return self._vertices(_np.flatnonzero(answers))
-        return self._vertices([row for row, answer in enumerate(answers) if answer])
+        return self._vertices(_np.flatnonzero(answers))
 
     # -- the engine surface; unknown vertices raise LabelingError -----------
     @property
@@ -1273,28 +1248,21 @@ class _ResidentRun:
 
     # the kernel role (build_kernel returns a "columns" index as it is)
     def batch(self, pairs: Sequence[tuple]) -> list:
-        answers = self.reaches_many_ids(*self.intern_pairs(pairs))
-        return answers if isinstance(answers, list) else answers.tolist()
+        return self.reaches_many_ids(*self.intern_pairs(pairs)).tolist()
 
     batch_ids = reaches_many_ids
 
 
 def _column(values) -> array:
     """*values* as an ``array`` of the narrowest signed type that holds them."""
-    if _np is not None:
-        values = _np.asarray(values, dtype=_np.int64)
-        low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
-    else:
-        low, high = min(values, default=0), max(values, default=0)
+    values = _np.asarray(values, dtype=_np.int64)
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
     for code in "bhiq":
         limit = 1 << (8 * array(code).itemsize - 1)
         if -limit <= low and high < limit:
             break
     column = array(code)
-    if _np is not None:
-        column.frombytes(values.astype(code).tobytes())
-    else:
-        column.fromlist(list(values))
+    column.frombytes(values.astype(code).tobytes())
     return column
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dynamic import UpdateLog, UpdateRecord, register_strategy
+from repro.engine.kernels import compile_spec_kernel
 from repro.engine.query import QueryEngine
 from repro.exceptions import (
     EdgeNotFoundError,
@@ -255,6 +256,32 @@ class TestCacheInvalidation:
         assert index.update_version == index.graph.update_version
         index.insert_edge("a", "b")
         assert index.update_version == index.graph.update_version
+
+
+class TestKernelsOverRepairedLabels:
+    def test_tree_cover_kernel_after_region_recompute(self):
+        # The delete renumbers a forest subtree, so postorder numbers pass
+        # the vertex count; the kernel's segment stride must still separate
+        # every vertex's intervals.
+        graph = DiGraph(vertices=[f"v{i}" for i in range(7)])
+        graph.add_edges([("v1", "v4"), ("v2", "v4"), ("v4", "v5"), ("v4", "v6")])
+        index = build_index("tree-cover", graph)
+        index.insert_edge("v3", "v0")
+        index.delete_edge("v1", "v4")
+        assert index.update_log.last.strategy == "region-recompute"
+        assert max(index.label_of(v).post for v in graph.vertices()) > 7
+        expected = fresh_answers("tree-cover", graph)
+        assert all_pairs(index) == expected
+        assert expected[("v2", "v4")] is True
+        pairs = sorted(expected)
+        answers = QueryEngine(index).reaches_batch(pairs)
+        assert answers == [expected[pair] for pair in pairs]
+        spec_kernel = compile_spec_kernel(index)
+        position = spec_kernel.position_of
+        assert {
+            (u, v): bool(spec_kernel.matrix[position[u], position[v]])
+            for u, v in pairs
+        } == expected
 
 
 class TestUpdateLogObject:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.engine import QueryEngine
-from repro.engine.kernels import HAS_NUMPY, build_kernel
+from repro.engine.kernels import build_kernel
 from repro.exceptions import LabelingError
 from repro.graphs.digraph import DiGraph
 from repro.labeling.registry import available_schemes, build_index
@@ -67,7 +67,6 @@ class TestEngineOverSchemes:
 
 
 class TestKernelDispatch:
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
     def test_numpy_kernels_selected(self, paper_labeled_run):
         graph = small_dag()
         assert QueryEngine(paper_labeled_run).kernel_name == "numpy-skl"
@@ -86,7 +85,6 @@ class TestKernelDispatch:
         assert QueryEngine(build_index("bfs", graph)).kernel_name == "python-generic"
         assert QueryEngine(build_index("dfs", graph)).kernel_name == "python-generic"
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
     def test_skeleton_kernel_fallthrough_without_dense_matrix(
         self, paper_labeled_run, monkeypatch
     ):
@@ -202,8 +200,7 @@ class TestHotPairCache:
         assert engine.reaches_batch(pairs) == [
             labeled.reaches(u, v) for u, v in pairs
         ]
-        if HAS_NUMPY:
-            assert engine._kernel._matrix is None
+        assert engine._kernel._matrix is None
         # after a spec mutation, batch and per-pair must still agree
         spec.graph.add_edge("c", "d")
         assert engine.reaches_batch(pairs) == [

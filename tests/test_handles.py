@@ -13,7 +13,7 @@ import repro.storage.database as database_module
 import repro.storage.store as store_module
 from repro.api import BatchQuery
 from repro.engine import QueryEngine
-from repro.engine.kernels import HAS_NUMPY, _GenericKernel, build_kernel
+from repro.engine.kernels import _GenericKernel, build_kernel
 from repro.exceptions import LabelingError, StorageError, VertexNotFoundError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.handles import VertexInterner, resolve_pair_ids
