@@ -91,9 +91,7 @@ def main() -> None:
 
         # -- 3. compiled plans re-execute on warm kernels ---------------
         pairs = [(anchor, (v.module, v.instance)) for v in first_run.vertices()[:8]]
-        plan = session.compile(
-            CrossRunBatchQuery(specs[0].name, pairs, workers=2)
-        )
+        plan = session.compile(CrossRunBatchQuery(specs[0].name, pairs))
         for repetition in range(3):
             matrix = plan.execute().matrix()
         print(

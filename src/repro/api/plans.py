@@ -18,7 +18,7 @@ the same plans as the built-in indexes.
 from __future__ import annotations
 
 import sqlite3
-from typing import Any
+from typing import Any, Optional
 
 from repro.api.queries import (
     BatchQuery,
@@ -237,11 +237,13 @@ class _CrossRunPlanBase(QueryPlan):
     runs in chunks (one ordered SQL scan each) and fans the independent
     per-run payloads across worker threads, falling back to the sequential
     streaming path for small run counts.  A batch or point plan reads only
-    its endpoints' labels, by primary key, on the calling thread, so the
-    worker count below matters to sweeps alone.
+    its endpoints' labels, by primary key, on the calling thread, so only
+    sweeps take a worker count.
     """
 
-    def __init__(self, target: Any, query: Any) -> None:
+    def __init__(
+        self, target: Any, query: Any, *, workers: Optional[int] = None
+    ) -> None:
         super().__init__(target, query)
         if target.kind != "store":
             raise QueryPlanError(
@@ -250,11 +252,14 @@ class _CrossRunPlanBase(QueryPlan):
             )
         # compiled once with the plan: re-executions reuse the executor and
         # its worker setting (a parallel sweep opens its threads per call)
-        self._executor = CrossRunExecutor(target.store, workers=query.workers)
+        self._executor = CrossRunExecutor(target.store, workers=workers)
 
 
 class _CrossRunPlan(_CrossRunPlanBase):
     """Sweep all runs of one specification through a shared spec kernel."""
+
+    def __init__(self, target: Any, query: CrossRunQuery) -> None:
+        super().__init__(target, query, workers=query.workers)
 
     def execute(self) -> CrossRunSweepResult:
         query = self.query

@@ -50,13 +50,6 @@ def _validate_pushdown(query_name: str, mode) -> None:
         )
 
 
-def _validate_workers(query_name: str, workers) -> None:
-    if workers is not None and int(workers) < 1:
-        raise QueryPlanError(
-            f"{query_name} workers must be a positive integer, got {workers}"
-        )
-
-
 @dataclass(frozen=True)
 class PointQuery:
     """One reachability question: does *source* reach *target*?
@@ -189,21 +182,18 @@ class CrossRunBatchQuery:
     ``(source, target)`` pairs, yielding a runs x pairs boolean matrix.
     Only the pairs' endpoints are read from each run, by primary key, and
     each run is one vectorized kernel evaluation through the shared
-    per-specification kernel — no per-run engines.  ``workers`` is
-    validated (``None`` or a positive integer) but has no effect: the
-    fetch is a few rows per run, so batches run on the calling thread.
-    Only store-backed sessions can plan it.  Answers a
+    per-specification kernel — no per-run engines.  The fetch is a few
+    rows per run, so batches run on the calling thread.  Only
+    store-backed sessions can plan it.  Answers a
     :class:`CrossRunBatchResult`.
     """
 
     specification: str
     pairs: Sequence[tuple]
-    workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.pairs:
             raise QueryPlanError("CrossRunBatchQuery needs at least one pair")
-        _validate_workers("CrossRunBatchQuery", self.workers)
 
 
 @dataclass(frozen=True)
@@ -213,17 +203,12 @@ class CrossRunPointQuery:
     "Did *source* reach *target* in each recorded execution of this
     workflow?" — the monitoring form of :class:`PointQuery`.  Compiled as a
     single-pair :class:`CrossRunBatchQuery`, so each run contributes just
-    its two endpoints' labels, and ``workers`` is validated but has no
-    effect, as there.  Answers a :class:`CrossRunPointResult`.
+    its two endpoints' labels.  Answers a :class:`CrossRunPointResult`.
     """
 
     specification: str
     source: Any
     target: Any
-    workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        _validate_workers("CrossRunPointQuery", self.workers)
 
 
 @dataclass(frozen=True)

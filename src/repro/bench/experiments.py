@@ -1664,9 +1664,9 @@ def throughput_server(
 
         # -- retry overhead: the guarded client vs a bare one --------------
         # the fault-tolerance machinery (per-attempt lock, injection hook,
-        # sequence bookkeeping) must be free on the happy path; both
-        # clients run the identical wire exchange, so min-of timings
-        # isolate the machinery itself
+        # breaker check) must be free on the happy path; both clients run
+        # the identical wire exchange, so min-of timings isolate the
+        # machinery itself
         def timed_group(timed_session, group=100):
             started = time.perf_counter()
             for _ in range(group):

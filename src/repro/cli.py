@@ -236,14 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="file of 'source target' lines (module:instance each), or - for stdin",
     )
     cross_batch_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="accepted for compatibility and validated (a positive integer); "
-        "batches read only their endpoints' labels on one thread, so it has "
-        "no effect",
-    )
-    cross_batch_parser.add_argument(
         "--summary-only",
         action="store_true",
         help="print only per-run reachable counts, not one line per pair",
@@ -640,9 +632,7 @@ def _command_cross_batch(args: argparse.Namespace) -> int:
         raise ReproError("no query pairs given")
     with _open_database(args.database) as store:
         started = time.perf_counter()
-        result = store.session().run(
-            CrossRunBatchQuery(args.spec, pairs, workers=args.workers)
-        )
+        result = store.session().run(CrossRunBatchQuery(args.spec, pairs))
         elapsed = time.perf_counter() - started
         names = {row["run_id"]: row["name"] for row in store.list_runs(args.spec)}
     for run_id in result.run_ids:

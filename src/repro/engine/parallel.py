@@ -33,7 +33,7 @@ pairs matrix) behind ``CrossRunBatchQuery`` / ``CrossRunPointQuery``
 needs only its endpoints' labels, so it looks them up by primary key
 (:func:`~repro.storage.store.load_execution_labels`), once per store
 connection on the calling thread, and evaluates each run over arrays that
-hold just those endpoints; its ``workers`` setting has no effect.
+hold just those endpoints.
 
 The sequential sweep path (per-run streaming fetch, inline evaluation) is
 auto-selected when the run count is below

@@ -40,7 +40,6 @@ store's resident runs, whose label columns are their own kernel
 
 from __future__ import annotations
 
-import functools
 from collections import OrderedDict
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
@@ -80,51 +79,6 @@ class EngineStats:
         self.queries = 0
         self.batches = 0
         self.cache_hits = 0
-
-
-def _handle_pair(index: Any, key: object) -> Optional[tuple]:
-    """Vertex pair -> handle pair over *index*'s interner, or ``None``."""
-    if not isinstance(key, tuple) or len(key) != 2:
-        return None
-    try:
-        id_map = index.interner.id_map
-    except LabelingError:
-        # e.g. a stale traversal interner: membership must answer False,
-        # not raise, for a pair that can no longer be resolved
-        return None
-    source_id = id_map.get(key[0])
-    target_id = id_map.get(key[1])
-    if source_id is None or target_id is None:
-        return None
-    return (source_id, target_id)
-
-
-def _no_handle_pair(key: object) -> None:
-    """The translator of an index without vertex handles."""
-    return None
-
-
-class _HotPairCache(OrderedDict):
-    """LRU store keyed on interned handle pairs.
-
-    Membership tests additionally accept ``(source, target)`` *vertex* pairs
-    (translated through the engine's interner), so introspection written
-    against the historical object-keyed cache keeps working.  The raw key is
-    checked first, so when vertices are themselves small integers a handle
-    pair and a vertex pair can be indistinguishable — an inherent ambiguity
-    of the compatibility shim, not of the cache (which only ever stores
-    handle pairs).
-    """
-
-    def __init__(self, translate) -> None:
-        super().__init__()
-        self._translate = translate
-
-    def __contains__(self, key: object) -> bool:
-        if OrderedDict.__contains__(self, key):
-            return True
-        translated = self._translate(key)
-        return translated is not None and OrderedDict.__contains__(self, translated)
 
 
 class QueryEngine:
@@ -186,14 +140,9 @@ class QueryEngine:
         # (Handles survive edge surgery — only the vertex set invalidates
         # an interner — so this binding outlives edge updates.)
         self._id_map: Optional[dict] = None
-        # the translator closes over the index, not the engine: a cache
-        # holding a bound method would make every engine a reference
-        # cycle, freed only by the cyclic garbage collector
-        self._pair_cache: _HotPairCache = _HotPairCache(
-            functools.partial(_handle_pair, index)
-            if self._has_handles
-            else _no_handle_pair
-        )
+        # hot pairs, least recently used first: handle pairs, or vertex
+        # pairs for an index without the handle surface
+        self._pair_cache: OrderedDict = OrderedDict()
         self.stats = EngineStats()
 
     def _check_version(self) -> None:

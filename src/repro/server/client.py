@@ -32,7 +32,6 @@ import random
 import socket
 import threading
 import time
-import uuid
 from typing import Any, Callable, Iterable, Optional, Sequence
 from urllib.parse import urlsplit
 
@@ -88,8 +87,9 @@ class _TransportError(ProtocolError):
 
     Internal retry classification: unlike a server-reported error, the
     request may or may not have executed, so only exchanges that are
-    idempotent on replay (every query; ingest via its sequence tokens) go
-    through the retry loop that catches this.
+    idempotent on replay go through the retry loop that catches this:
+    every query, and ingest, whose replayed runs the store answers with
+    their stored ids.
     """
 
 
@@ -101,17 +101,18 @@ class RemoteStore:
     """One TCP connection to a provenance daemon, store-shaped.
 
     Accepts a ``repro://host:port/`` URL or an explicit host/port pair.
-    The HELLO handshake pins the protocol version at connect time and
-    registers the client's id for ingest deduplication.
+    The HELLO handshake pins the protocol version at connect time.
 
-    Fault tolerance (protocol v3): a transport failure — refused connect,
-    dropped connection, truncated response, socket timeout — triggers up
-    to *retries* transparent re-attempts with bounded exponential backoff
+    Fault tolerance: a transport failure — refused connect, dropped
+    connection, truncated response, socket timeout — triggers up to
+    *retries* transparent re-attempts with bounded exponential backoff
     and jitter; each attempt reconnects and re-runs the HELLO handshake
     if needed.  Every retried operation is idempotent on replay: queries
-    are read-only, and buffered ingest entries carry client-side sequence
-    tokens the server deduplicates, so a flush whose acknowledgment was
-    lost mid-disconnect can never double-insert.  After
+    are read-only, and the store answers a replayed ingest entry — a run
+    it already holds under the same specification and name, with the
+    same content and scheme — with the stored id, so a flush whose
+    acknowledgment was lost can never double-insert, even across a
+    server restart.  After
     *breaker_threshold* consecutive exhausted exchanges the circuit
     breaker opens and requests fast-fail with
     :class:`~repro.exceptions.CircuitOpenError` for *breaker_reset*
@@ -150,16 +151,13 @@ class RemoteStore:
         self._lock = threading.Lock()
         self._closed = False
         self._socket: Optional[socket.socket] = None
-        #: this client's identity across reconnects; keys the server's
-        #: ingest dedupe map (v3 HELLO)
-        self.client_id = uuid.uuid4().hex
-        self._seq = 0
-        #: (seq, scheme, spec_json, run_json) entries not yet acknowledged
-        #: as flushed; replayed after a reconnect (the server dedupes)
-        self._unflushed: list[tuple[int, str, str, str]] = []
-        #: seqs already delivered over the *current* connection (cleared
-        #: on every reconnect so the rebuild closure knows what to resend)
-        self._sent_on_connection: set[int] = set()
+        #: (scheme, spec_json, run_json) entries not yet acknowledged as
+        #: flushed; replayed after a reconnect
+        self._unflushed: list[tuple[str, str, str]] = []
+        #: how many leading _unflushed entries the live connection already
+        #: buffered server-side (0 after every reconnect, so the rebuild
+        #: closure resends what a dead connection may have lost)
+        self._delivered = 0
         self._consecutive_failures = 0
         self._breaker_open_until = 0.0
         self._connects = 0
@@ -245,15 +243,21 @@ class RemoteStore:
             return reader
         error_class = reader.str()
         message = reader.str()
-        if status == wire.STATUS_FATAL:
-            # the server is about to close the connection; drop the socket
-            # (the next request reconnects — the client object stays usable)
-            with self._lock:
+        with self._lock:
+            if status == wire.STATUS_FATAL:
+                # the server is about to close the connection; drop the
+                # socket (the next request reconnects — the client object
+                # stays usable)
                 self._drop_socket()
+            elif opcode == wire.OP_INGEST:
+                # the server swapped its ingest buffer out before labeling
+                # it: a rejected flush leaves nothing to resend
+                self._unflushed.clear()
+                self._delivered = 0
         raise _rebuild_error(error_class, message)
 
     def _connect_locked(self) -> None:
-        """Connect and complete the v3 HELLO handshake (under the lock)."""
+        """Connect and complete the HELLO handshake (under the lock)."""
         try:
             self._socket = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
@@ -265,16 +269,11 @@ class RemoteStore:
                 f"{self.host}:{self.port}: {exc}"
             ) from exc
         self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sent_on_connection = set()
+        self._delivered = 0
         if self._connects:
             self.fault_stats["reconnects"] += 1
         self._connects += 1
-        hello = (
-            Writer()
-            .put_u32(wire.PROTOCOL_VERSION)
-            .put_str(self.client_id)
-            .getvalue()
-        )
+        hello = Writer().put_u32(wire.PROTOCOL_VERSION).getvalue()
         try:
             self._socket.sendall(frame(bytes([wire.OP_HELLO]) + hello))
             response = self._read_frame()
@@ -344,7 +343,7 @@ class RemoteStore:
     def _drop_socket(self) -> None:
         """Close the socket without closing the client (reconnects later)."""
         sock, self._socket = self._socket, None
-        self._sent_on_connection = set()
+        self._delivered = 0
         if sock is not None:
             try:
                 sock.close()
@@ -414,10 +413,14 @@ class RemoteStore:
         :meth:`flush`, or disconnect; the returned list is then empty
         unless this request tripped the automatic flush.
 
-        Every entry carries a client-side sequence token; a reconnect mid
-        exchange replays the unacknowledged entries and the server
-        deduplicates on ``(client_id, seq)``, so no disconnect ordering
-        can drop or double-insert a run.
+        A reconnect mid exchange replays the unacknowledged entries, and
+        the store answers each run it already holds under the same
+        specification and name with the stored id, so no disconnect
+        ordering can drop or double-insert a run.  A run whose name is
+        taken by a different run (other content or scheme, or a stored
+        run since relabeled) raises
+        :class:`~repro.exceptions.StorageError`; the rejected flush is
+        dropped on both sides, so later ingests are unaffected.
         """
         from repro.workflow.serialization import run_to_json, specification_to_json
 
@@ -431,27 +434,24 @@ class RemoteStore:
                 )
             )
         with self._lock:
-            for scheme, spec_json, run_json in encoded:
-                self._unflushed.append((self._seq, scheme, spec_json, run_json))
-                self._seq += 1
+            self._unflushed.extend(encoded)
         return self._ingest_exchange(flush)
 
     def _ingest_exchange(self, flush: bool) -> list[int]:
         """One INGEST round trip covering every unacknowledged entry."""
 
+        sent = 0
+
         def rebuild() -> bytes:
             # runs under the exchange lock, once per attempt: after a
-            # reconnect _sent_on_connection is empty, so everything
-            # unflushed — including what the dead connection buffered —
-            # ships again and the server's dedupe sorts out what committed
-            fresh = [
-                entry
-                for entry in self._unflushed
-                if entry[0] not in self._sent_on_connection
-            ]
+            # reconnect _delivered is 0, so everything unflushed — including
+            # what the dead connection buffered — ships again, and the store
+            # answers the runs that already committed with their ids
+            nonlocal sent
+            sent = len(self._unflushed)
+            fresh = self._unflushed[self._delivered : sent]
             writer = Writer().put_bool(flush).put_u32(len(fresh))
-            for seq, scheme, spec_json, run_json in fresh:
-                writer.put_i64(seq)
+            for scheme, spec_json, run_json in fresh:
                 writer.put_str(scheme).put_str(spec_json).put_str(run_json)
             return writer.getvalue()
 
@@ -460,20 +460,19 @@ class RemoteStore:
         run_ids = [reader.i64() for _ in range(reader.u32())]
         with self._lock:
             if flushed:
-                self._unflushed.clear()
-                self._sent_on_connection = set()
+                del self._unflushed[:sent]
+                self._delivered = 0
             else:
-                self._sent_on_connection.update(
-                    entry[0] for entry in self._unflushed
-                )
+                self._delivered = sent
         return run_ids
 
     def flush(self) -> list[int]:
         """Commit the server-side ingest buffer; returns the new run ids.
 
         Routed through INGEST with zero new entries, so entries a dead
-        connection buffered but never committed ride along (the server
-        dedupes any that its disconnect-flush already committed).
+        connection buffered but never committed ride along (the store
+        answers any that its disconnect-flush already committed with
+        their stored ids).
         """
         return self._ingest_exchange(True)
 
@@ -614,13 +613,12 @@ class RemoteSession:
         )
 
     def _cross_batch_round_trip(
-        self, specification: str, pairs: Sequence[tuple], workers: Optional[int]
+        self, specification: str, pairs: Sequence[tuple]
     ) -> tuple[dict, list[int]]:
         writer = Writer().put_str(specification).put_u32(len(pairs))
         for source, target in pairs:
             for module, instance in (source, target):
                 writer.put_str(module).put_i64(instance)
-        wire.put_workers(writer, workers)
         reader = self._store._request(wire.OP_CROSS_BATCH, writer.getvalue())
         return wire.read_run_map_bools(reader), wire.read_skipped(reader)
 
@@ -629,9 +627,7 @@ class RemoteSession:
             (_as_execution(source), _as_execution(target))
             for source, target in query.pairs
         ]
-        per_run, skipped = self._cross_batch_round_trip(
-            query.specification, pairs, query.workers
-        )
+        per_run, skipped = self._cross_batch_round_trip(query.specification, pairs)
         return CrossRunBatchResult(
             specification=query.specification,
             pairs=pairs,
@@ -644,7 +640,7 @@ class RemoteSession:
         source = _as_execution(query.source)
         target = _as_execution(query.target)
         per_run, skipped = self._cross_batch_round_trip(
-            query.specification, [(source, target)], query.workers
+            query.specification, [(source, target)]
         )
         return CrossRunPointResult(
             specification=query.specification,

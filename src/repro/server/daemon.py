@@ -24,7 +24,10 @@ with the length-prefixed binary protocol of
   flush through ``add_labeled_runs`` (the sharded store's concurrent
   per-shard commit path) when the client asks or the buffer reaches
   ``ingest_flush_after``; whatever is still buffered at disconnect is
-  flushed then.
+  flushed then.  The daemon keeps no ingest identity of its own: a
+  client replaying entries whose acknowledgment it lost gets the stored
+  ids back from the store's ``(specification, name)`` key, which
+  outlives connections and server restarts alike.
 * **One coroutine per connection.**  It reads a frame, answers it,
   writes and drains the response, and only then reads the next frame:
   responses leave in request order, and a client that sends faster than
@@ -46,7 +49,6 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from collections import OrderedDict
 from typing import Any, Optional
 
 from repro.faults import fault_point
@@ -79,16 +81,6 @@ INGEST_FLUSH_AFTER_DEFAULT = 32
 #: before it aborts their transports
 DRAIN_GRACE_SECONDS = 10.0
 
-#: committed ingest sequence tokens remembered per client — deep enough
-#: that a reconnecting client can replay far more than one buffered batch
-#: without the dedupe window having rolled over
-INGEST_DEDUPE_SEQS = 4096
-
-#: clients tracked in the dedupe map before the least recently seen one
-#: is forgotten (a forgotten client's replays would re-commit; 64 covers
-#: every realistic connection churn for a single daemon)
-INGEST_DEDUPE_CLIENTS = 64
-
 
 class _Connection:
     """Everything one TCP connection owns on the server side."""
@@ -100,14 +92,10 @@ class _Connection:
         self.writer = writer
         #: the coroutine serving this connection; stop() awaits it
         self.task = asyncio.current_task()
-        #: buffered (seq, scheme, spec_json, run_json) ingest entries
-        self.ingest_buffer: list[tuple[int, str, str, str]] = []
+        #: buffered (scheme, spec_json, run_json) ingest entries
+        self.ingest_buffer: list[tuple[str, str, str]] = []
         #: labelers reused across this connection's ingest flushes
         self.labelers: dict[tuple[str, str], Any] = {}
-        #: the client's self-assigned id from the v3 HELLO ("" until then);
-        #: keys the server-global ingest dedupe map, so entries replayed
-        #: over a new connection after a mid-flush disconnect commit once
-        self.client_id = ""
 
 
 class ProvenanceServer:
@@ -160,12 +148,6 @@ class ProvenanceServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[_Connection] = set()
         self._stopped = False
-        # committed (client_id, seq) ingest tokens -> run_id; mutated only
-        # on the event-loop thread, so the disconnect-flush of a dying
-        # connection and the replay arriving over its successor serialize
-        # instead of racing (whichever runs first commits, the other
-        # returns the recorded ids)
-        self._ingest_seen: dict[str, OrderedDict[int, int]] = {}
         self._handlers = {
             wire.OP_HELLO: self._op_hello,
             wire.OP_POINT: self._op_point,
@@ -347,15 +329,14 @@ class ProvenanceServer:
     # ------------------------------------------------------------------
     def _op_hello(self, state: _Connection, reader: Reader) -> bytes:
         client_version = reader.u32()
-        # version is checked before the v3 client-id field is read, so a
-        # v2 client's 4-byte body gets the mismatch message, not a
-        # truncated-payload error
+        # version is checked before the end of the body, so an older
+        # client's longer HELLO (v3-v5 appended a client id) gets the
+        # mismatch message, not a trailing-bytes error
         if client_version != wire.PROTOCOL_VERSION:
             raise ProtocolError(
                 f"protocol version mismatch: client speaks {client_version}, "
                 f"server speaks {wire.PROTOCOL_VERSION}"
             )
-        state.client_id = reader.str()
         reader.expect_end()
         writer = Writer()
         writer.put_u32(wire.PROTOCOL_VERSION)
@@ -435,11 +416,8 @@ class ProvenanceServer:
             ((reader.str(), reader.i64()), (reader.str(), reader.i64()))
             for _ in range(count)
         ]
-        workers = wire.read_workers(reader)
         reader.expect_end()
-        result = state.session.run(
-            CrossRunBatchQuery(specification, pairs, workers=workers)
-        )
+        result = state.session.run(CrossRunBatchQuery(specification, pairs))
         writer = Writer()
         wire.put_run_map_bools(writer, result.per_run)
         wire.put_skipped(writer, result.skipped_runs)
@@ -462,10 +440,7 @@ class ProvenanceServer:
         flush_requested = reader.bool()
         count = reader.u32()
         for _ in range(count):
-            seq = reader.i64()
-            state.ingest_buffer.append(
-                (seq, reader.str(), reader.str(), reader.str())
-            )
+            state.ingest_buffer.append((reader.str(), reader.str(), reader.str()))
         reader.expect_end()
         run_ids: list[int] = []
         flushed = flush_requested or (
@@ -486,27 +461,15 @@ class ProvenanceServer:
             writer.put_i64(run_id)
         return writer.getvalue()
 
-    def _seen_of(self, client_id: str) -> "OrderedDict[int, int]":
-        """The client's committed-seq map (event-loop thread only; LRU-bounded)."""
-        seen = self._ingest_seen.get(client_id)
-        if seen is None:
-            if len(self._ingest_seen) >= INGEST_DEDUPE_CLIENTS:
-                self._ingest_seen.pop(next(iter(self._ingest_seen)))
-            seen = self._ingest_seen[client_id] = OrderedDict()
-        else:
-            # bump the client to most-recently-seen
-            self._ingest_seen[client_id] = self._ingest_seen.pop(client_id)
-        return seen
-
     def _flush_ingest(self, state: _Connection) -> list[int]:
         """Label and commit the connection's buffered runs, in buffer order.
 
-        Entries whose ``(client_id, seq)`` token already committed — a
-        reconnecting client replaying a batch whose acknowledgment it
-        never received — are answered with their recorded run ids instead
-        of being labeled and inserted again: exactly-once ingest across
-        disconnects.  Runs only on the event-loop thread, so the dedupe
-        map never races.
+        The buffer is swapped out before anything is labeled, so an entry
+        the store rejects is gone from the server either way.  Replays —
+        a reconnecting client resending entries whose acknowledgment it
+        never received — need no bookkeeping here: the store answers a run
+        it already holds under the same specification and name with the
+        stored id (:func:`repro.storage.store.insert_labeled_run`).
         """
         if not state.ingest_buffer:
             return []
@@ -517,16 +480,8 @@ class ProvenanceServer:
         )
 
         entries, state.ingest_buffer = state.ingest_buffer, []
-        seen = self._seen_of(state.client_id) if state.client_id else None
-        run_ids: list[int] = []
-        fresh: list[tuple[int, int]] = []  # (position in run_ids, seq)
         labeled = []
-        for seq, scheme, spec_json, run_json in entries:
-            if seen is not None and seq >= 0 and seq in seen:
-                run_ids.append(seen[seq])
-                continue
-            fresh.append((len(run_ids), seq))
-            run_ids.append(-1)  # patched after the commit below
+        for scheme, spec_json, run_json in entries:
             key = (scheme, spec_json)
             labeler = state.labelers.get(key)
             if labeler is None:
@@ -535,21 +490,11 @@ class ProvenanceServer:
             run = run_from_json(run_json, labeler.specification)
             labeled.append(labeler.label_run(run))
         add_many = getattr(self._store, "add_labeled_runs", None)
-        if not labeled:
-            committed: list[int] = []  # every entry was a replayed duplicate
-        elif add_many is not None:
+        if add_many is not None:
             # the sharded store's ingest service: per-shard sub-batches
             # commit concurrently, one thread per shard touched
-            committed = list(add_many(labeled))
-        else:
-            committed = [self._store.add_labeled_run(item) for item in labeled]
-        for (position, seq), run_id in zip(fresh, committed):
-            run_ids[position] = run_id
-            if seen is not None and seq >= 0:
-                seen[seq] = run_id
-                while len(seen) > INGEST_DEDUPE_SEQS:
-                    seen.popitem(last=False)
-        return run_ids
+            return list(add_many(labeled))
+        return [self._store.add_labeled_run(item) for item in labeled]
 
     def _op_cache_stats(self, state: _Connection, reader: Reader) -> bytes:
         reader.expect_end()

@@ -66,8 +66,8 @@ __all__ = [
 #: request bodies (see :func:`put_pushdown`).
 #: Version 3 adds fault tolerance: the HELLO request carries a client id
 #: string after the version, every INGEST entry is prefixed with an i64
-#: sequence token (the server deduplicates ``(client_id, seq)`` so a
-#: reconnecting client can safely replay unacknowledged entries), and the
+#: sequence token (the server deduplicated a client's tokens in memory, so
+#: a reconnecting client could replay unacknowledged entries), and the
 #: HEALTH op reports shard reachability and pool liveness.
 #: Version 4 adds the shard routing subsystem: the REBALANCE, REPLICATE
 #: and ROUTING maintenance opcodes (sharded stores only), and the HEALTH
@@ -76,7 +76,12 @@ __all__ = [
 #: Version 5 deletes the routing subsystem: opcodes 16-18 are gone (1-15
 #: keep their numbers), and the HEALTH skew rows lose their ``replicas``
 #: and ``routed_specs`` fields.
-PROTOCOL_VERSION = 5
+#: Version 6 moves ingest idempotence into the store, whose
+#: ``(specification, name)`` key answers a replayed run with its stored
+#: id: the HELLO request carries only the version, an INGEST entry is
+#: three strings (scheme, spec, run) with no sequence token, and
+#: CROSS_BATCH loses its ``workers`` slot, which had no effect.
+PROTOCOL_VERSION = 6
 
 #: default TCP port of ``repro-provenance serve`` and ``repro://`` URLs
 DEFAULT_PORT = 9763
@@ -338,7 +343,7 @@ def read_skipped(reader: Reader) -> list[int]:
 
 
 def put_workers(writer: Writer, workers: Optional[int]) -> None:
-    """Cross-run ``workers`` knob; -1 encodes the auto-sizing ``None``."""
+    """The cross-run sweep's ``workers`` knob; -1 encodes the auto-sizing ``None``."""
     writer.put_i64(-1 if workers is None else int(workers))
 
 

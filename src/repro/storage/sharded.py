@@ -372,9 +372,9 @@ class ShardedProvenanceStore:
             except sqlite3.IntegrityError as exc:
                 run = current.run if current is not None else batch[0].run
                 raise StorageError(
-                    f"run {run.name!r} is already stored for specification "
-                    f"{run.specification.name!r}; the whole shard-{shard} "
-                    f"sub-batch was rolled back"
+                    f"a different run named {run.name!r} is already stored "
+                    f"for specification {run.specification.name!r}; the "
+                    f"whole shard-{shard} sub-batch was rolled back"
                 ) from exc
             finally:
                 connection.close()

@@ -333,25 +333,45 @@ def insert_labeled_run(
     The connection-agnostic core of :meth:`ProvenanceStore.add_labeled_run`;
     the sharded ingest workers call it with explicit shard-encoded *run_id*
     values so every shard file carries globally unique run identifiers.
-    Raises :class:`sqlite3.IntegrityError` on duplicates — wrapping it in a
-    :class:`~repro.exceptions.StorageError` (and the transaction) is the
-    caller's job.
+
+    A run's identity is the ``UNIQUE (spec_id, name)`` key.  Inserting a
+    run whose stored row under that key has the same document and scheme
+    is a replay: it returns the stored ``run_id`` and writes nothing, so
+    a client that lost an acknowledgment can resend across reconnects,
+    server restarts and processes.  A different run under a taken name
+    (other content or scheme, or the stored run since relabeled by
+    ``update_run_labels``) raises :class:`sqlite3.IntegrityError`;
+    wrapping it in a :class:`~repro.exceptions.StorageError` (and the
+    transaction) is the caller's job.
     """
     run = labeled.run
     scheme = labeled.spec_index.scheme_name
-    cursor = connection.execute(
-        "INSERT INTO runs (run_id, spec_id, name, document, n_vertices, n_edges, spec_scheme) "
-        "VALUES (?, ?, ?, ?, ?, ?, ?)",
-        (
-            run_id,
-            spec_id,
-            run.name,
-            run_to_json(run),
-            run.vertex_count,
-            run.edge_count,
-            scheme,
-        ),
-    )
+    document = run_to_json(run)
+    try:
+        cursor = connection.execute(
+            "INSERT INTO runs (run_id, spec_id, name, document, n_vertices, n_edges, spec_scheme) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?)",
+            (
+                run_id,
+                spec_id,
+                run.name,
+                document,
+                run.vertex_count,
+                run.edge_count,
+                scheme,
+            ),
+        )
+    except sqlite3.IntegrityError:
+        # only a collision pays for this read; the failed INSERT undid
+        # itself and left the caller's transaction open
+        stored = connection.execute(
+            "SELECT run_id, document, spec_scheme FROM runs "
+            "WHERE spec_id = ? AND name = ?",
+            (spec_id, run.name),
+        ).fetchone()
+        if stored is None or (stored[1], stored[2] or "tcm") != (document, scheme):
+            raise
+        return int(stored[0])
     run_id = int(cursor.lastrowid)
     # The interned handle of each vertex is persisted alongside its label,
     # so a store reopened later hands out exactly the ids the in-memory
@@ -505,7 +525,8 @@ class ProvenanceStore:
                 return insert_labeled_run(self._connection, labeled, spec_id)
         except sqlite3.IntegrityError as exc:
             raise StorageError(
-                f"run {run.name!r} already stored for specification {run.specification.name!r}"
+                f"a different run named {run.name!r} is already stored for "
+                f"specification {run.specification.name!r}"
             ) from exc
 
     def update_run_labels(self, run_id: int, labeled: SkeletonLabeledRun) -> int:

@@ -281,5 +281,7 @@ class TestHotPairCache:
         engine.reaches(second, third)   # cache: (f, s), (s, t)
         engine.reaches(first, second)   # touch (f, s) -> (s, t) is now LRU
         engine.reaches(third, first)    # evicts (s, t)
+        # the cache is keyed on handle pairs
+        first, second, third = map(engine.intern, (first, second, third))
         assert (first, second) in engine._pair_cache
         assert (second, third) not in engine._pair_cache

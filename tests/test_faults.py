@@ -6,10 +6,11 @@ degradation in the local stack (pushdown SQL faults falling back to the
 streamed kernel, crashed or hung worker chunks retried then re-run
 sequentially), the client's retry/backoff/reconnect
 machinery (transport faults on send and receive, exactly-once ingest
-replay across a forced mid-flush disconnect, the circuit breaker), the
-HEALTH op, the stop()-during-buffered-ingest regression, and the CLI
-``health`` subcommand.  Every recovery asserts bit-identical answers
-against an unfaulted oracle — degradation may never change a result.
+replay across a forced mid-flush disconnect and across a server restart,
+the circuit breaker), the HEALTH op, the stop()-during-buffered-ingest
+regression, and the CLI ``health`` subcommand.  Every recovery asserts
+bit-identical answers against an unfaulted oracle — degradation may
+never change a result.
 """
 
 from __future__ import annotations
@@ -454,9 +455,9 @@ class TestClientRetry:
         assert client.ingest([labeled], flush=False) == []
         assert client.pending_ingest == 1
         # the flush commits server-side, then the ack is lost: the client
-        # reconnects and replays the entry under its original sequence
-        # token, and the server's (client_id, seq) dedupe returns the run
-        # id already committed — never a second copy
+        # reconnects and replays the entry, and the store answers the run
+        # it already holds under that name with its id — never a second
+        # copy
         plan = FaultPlan([FaultRule("client.recv", "oserror", nth=1)])
         with plan.active():
             run_ids = client.flush()
@@ -492,6 +493,45 @@ class TestClientRetry:
         assert len(rows) == baseline + 2
         names = [row["name"] for row in rows]
         assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["file", "sharded"])
+    def test_lost_ack_replays_after_a_server_restart(
+        self, tmp_path, paper_spec, paper_labeler, shards
+    ):
+        first, second = (
+            paper_labeler.label_run(
+                generate_run_with_size(paper_spec, 24, seed=seed, name=name).run
+            )
+            for seed, name in ((41, "before-restart"), (42, "after-restart"))
+        )
+        path = tmp_path / ("restart.db" if shards is None else "restart")
+        server = ServerThread(path=path, shards=shards).start()
+        port = server.port
+        client = RemoteStore(server.url, retries=0)
+        try:
+            assert client.ingest([first], flush=False) == []
+            # the flush commits, then its acknowledgment never leaves
+            plan = FaultPlan([FaultRule("server.write", "oserror", nth=1)])
+            with plan.active():
+                with pytest.raises(ProtocolError):
+                    client.flush()
+            assert plan.fired == {"server.write": 1}
+            assert client.pending_ingest == 1
+            server.stop()
+            # a new process would find the same store and nothing else
+            server = ServerThread(path=path, shards=shards, port=port).start()
+            (stored,) = client.list_runs(paper_spec.name)
+            assert client.flush() == [stored["run_id"]]
+            assert client.pending_ingest == 0
+            (fresh_id,) = client.ingest([second])
+            names = {row["run_id"]: row["name"] for row in client.list_runs()}
+            assert names == {
+                stored["run_id"]: "before-restart",
+                fresh_id: "after-restart",
+            }
+        finally:
+            client.close()
+            server.stop()
 
     def test_circuit_breaker_opens_and_half_opens(self, tmp_path, paper_labeler, paper_run):
         store = ProvenanceStore(tmp_path / "breaker.db")
@@ -537,7 +577,7 @@ class TestHealthOp:
         store, server, client = served_faulted
         report = client.health()
         assert report["status"] == "ok"
-        assert report["protocol"] == 5
+        assert report["protocol"] == 6
         assert report["shards_total"] == 2
         assert report["shards_reachable"] == 2
         assert report["connections"] >= 1

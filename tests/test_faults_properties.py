@@ -99,7 +99,7 @@ def _queries(spec, anchor, run_ids):
         "cross-pushdown": CrossRunQuery(
             spec.name, anchor, workers=2, pushdown="always"
         ),
-        "cross-batch": CrossRunBatchQuery(spec.name, pairs, workers=2),
+        "cross-batch": CrossRunBatchQuery(spec.name, pairs),
     }
 
 

@@ -380,7 +380,7 @@ class TestCrossRunQueries:
         store, run_ids, spec = parallel_store
         session = ProvenanceSession(store)
         pairs = [(("a", 1), ("h", 1)), (("h", 1), ("a", 1))]
-        result = session.run(CrossRunBatchQuery(spec.name, pairs, workers=2))
+        result = session.run(CrossRunBatchQuery(spec.name, pairs))
         assert sorted(result.per_run) + sorted(result.skipped_runs) == sorted(
             run_ids
         ) or set(result.per_run) | set(result.skipped_runs) == set(run_ids)
@@ -401,21 +401,13 @@ class TestCrossRunQueries:
     def test_runs_missing_an_endpoint_are_skipped(self, parallel_store):
         store, run_ids, spec = parallel_store
         session = ProvenanceSession(store)
-        result = session.run(
-            CrossRunBatchQuery(spec.name, [(("a", 1), ("b", 99))], workers=2)
-        )
+        result = session.run(CrossRunBatchQuery(spec.name, [(("a", 1), ("b", 99))]))
         assert result.per_run == {}
         assert sorted(result.skipped_runs) == sorted(run_ids)
 
     def test_empty_pairs_rejected_at_query_construction(self):
         with pytest.raises(QueryPlanError):
             CrossRunBatchQuery("spec", [])
-
-    def test_batch_workers_validated_though_unused(self):
-        with pytest.raises(QueryPlanError):
-            CrossRunBatchQuery("spec", [(("a", 1), ("h", 1))], workers=0)
-        with pytest.raises(QueryPlanError):
-            CrossRunPointQuery("spec", ("a", 1), ("h", 1), workers=-2)
 
     def test_batches_read_only_their_endpoints(self, parallel_store, monkeypatch):
         import repro.storage.store as store_module
@@ -434,18 +426,13 @@ class TestCrossRunQueries:
             raise AssertionError("a cross-run batch streamed whole runs")
 
         monkeypatch.setattr(store_module, "load_label_arrays", whole_run_fetch)
-        for workers in (None, 1, 3):
-            result = session.run(CrossRunBatchQuery(spec.name, pairs, workers=workers))
-            assert result.per_run == {
-                run_id: expected[run_id] for run_id in result.per_run
-            }
-            assert set(result.per_run) | set(result.skipped_runs) == set(run_ids)
-            point = session.run(
-                CrossRunPointQuery(spec.name, ("a", 1), ("h", 1), workers=workers)
-            )
-            assert point.per_run == {
-                run_id: expected[run_id][0] for run_id in point.per_run
-            }
+        result = session.run(CrossRunBatchQuery(spec.name, pairs))
+        assert result.per_run == {run_id: expected[run_id] for run_id in result.per_run}
+        assert set(result.per_run) | set(result.skipped_runs) == set(run_ids)
+        point = session.run(CrossRunPointQuery(spec.name, ("a", 1), ("h", 1)))
+        assert point.per_run == {
+            run_id: expected[run_id][0] for run_id in point.per_run
+        }
 
     def test_parameter_budget_spans_runs_and_endpoints(
         self, tmp_path, paper_spec, monkeypatch
@@ -565,7 +552,7 @@ class TestParallelCLI:
         pairs_file.write_text("a:1 h:1\nh:1 a:1\n")
         assert main([
             "cross-batch", "--database", str(database), "--spec", "paper-example",
-            "--pairs", str(pairs_file), "--workers", "2",
+            "--pairs", str(pairs_file),
         ]) == 0
         output = capsys.readouterr().out
         assert "1/2 pairs reachable" in output

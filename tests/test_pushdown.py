@@ -399,8 +399,10 @@ class TestWireProtocol:
         # v2 added the pushdown byte; v3 the fault-tolerance handshake
         # (HELLO client id, ingest sequence tokens, the HEALTH op); v4 the
         # routing maintenance ops (REBALANCE/REPLICATE/ROUTING + skew); v5
-        # deleted those three ops and the skew rows' routing fields
-        assert wire.PROTOCOL_VERSION == 5
+        # deleted those three ops and the skew rows' routing fields; v6
+        # deleted the client id, the sequence tokens and CROSS_BATCH's
+        # workers slot
+        assert wire.PROTOCOL_VERSION == 6
 
     @pytest.mark.parametrize("mode", [None, "auto", "always", "never"])
     def test_pushdown_mode_round_trips(self, mode):

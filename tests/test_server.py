@@ -4,7 +4,8 @@ Covers the wire protocol codecs, the HELLO handshake, bit-identical
 answers for every query op against an in-process session, recoverable vs
 fatal error handling (malformed and truncated frames must produce a
 protocol error and a closed connection, never a hang), the buffered
-ingest path (explicit flush, auto-flush threshold, flush-at-disconnect),
+ingest path (explicit flush, auto-flush threshold, flush-at-disconnect,
+a rejected flush that leaves the client usable),
 pipelined requests answered in order, concurrent clients against a
 sharded store, ingest-during-query consistency, clean shutdown with
 requests in flight or an idle client connected, and the CLI's
@@ -68,12 +69,9 @@ def served(tmp_path, paper_spec, paper_labeler, paper_run):
     store.close()
 
 
-def _hello(client_id):
-    """The v3 handshake frame: protocol version + client id."""
-    return frame(
-        bytes([wire.OP_HELLO])
-        + Writer().put_u32(PROTOCOL_VERSION).put_str(client_id).getvalue()
-    )
+def _hello():
+    """The handshake frame: the protocol version alone."""
+    return frame(bytes([wire.OP_HELLO]) + Writer().put_u32(PROTOCOL_VERSION).getvalue())
 
 
 def _raw_exchange(server, payloads, *, read_responses=1):
@@ -81,7 +79,7 @@ def _raw_exchange(server, payloads, *, read_responses=1):
     responses = []
     with socket.create_connection((server.host, server.port), timeout=10) as sock:
         # handshake first, so the failure under test is the interesting frame
-        sock.sendall(_hello("raw-test"))
+        sock.sendall(_hello())
         _read_frame(sock)
         for payload in payloads:
             sock.sendall(payload)
@@ -243,20 +241,21 @@ class TestHandshakeAndSurface:
             assert response[0] == wire.STATUS_FATAL
             assert sock.recv(4096) == b""
 
-    def test_a_protocol_v4_client_is_refused_by_name(self, served):
-        # v5 retired the routing ops, so a v4 client's full HELLO (version
-        # and client id) is refused with both versions named
+    def test_a_protocol_v5_client_is_refused_by_name(self, served):
+        # v6 dropped the HELLO client id and the ingest sequence tokens, so
+        # a v5 client's full HELLO (version and client id) is refused with
+        # both versions named
         _, _, server, _ = served
-        v4_hello = frame(
-            bytes([wire.OP_HELLO]) + Writer().put_u32(4).put_str("v4").getvalue()
+        v5_hello = frame(
+            bytes([wire.OP_HELLO]) + Writer().put_u32(5).put_str("v5").getvalue()
         )
         with socket.create_connection((server.host, server.port), timeout=10) as sock:
-            sock.sendall(v4_hello)
+            sock.sendall(v5_hello)
             response = _read_frame(sock)
             assert response[0] == wire.STATUS_FATAL
             reader = Reader(response[1:])
             assert reader.str() == "ProtocolError"
-            assert "client speaks 4, server speaks 5" in reader.str()
+            assert "client speaks 5, server speaks 6" in reader.str()
             assert sock.recv(4096) == b""
 
     def test_store_surface_matches(self, served):
@@ -538,6 +537,26 @@ class TestIngest:
                 assert [names[run_id] for run_id in run_ids] == ["auto-0", "auto-1"]
         store.close()
 
+    def test_a_rejected_flush_does_not_wedge_the_client(
+        self, served, paper_spec, paper_labeler
+    ):
+        store, _, _, client = served
+        # "served-1" is stored; this run takes its name with other content
+        conflicting = paper_labeler.label_run(
+            generate_run_with_size(paper_spec, 20, seed=90, name="served-1").run
+        )
+        fresh = paper_labeler.label_run(
+            generate_run_with_size(paper_spec, 20, seed=91, name="r1").run
+        )
+        with pytest.raises(StorageError, match="'served-1'"):
+            client.ingest([conflicting])
+        # the server dropped the rejected entry, and so did the client
+        assert client.pending_ingest == 0
+        (run_id,) = client.ingest([fresh])
+        names = {row["run_id"]: row["name"] for row in store.list_runs()}
+        assert names[run_id] == "r1"
+        assert list(names.values()).count("served-1") == 1
+
     def test_disconnect_flushes_buffered_ingest(
         self, served, paper_spec, paper_labeler
     ):
@@ -700,7 +719,7 @@ class TestConcurrencyAndShutdown:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
             sock.settimeout(10)
             sock.connect((server.host, server.port))
-            sock.sendall(_hello("stalled"))
+            sock.sendall(_hello())
             _read_frame(sock)
             # ~26 MB of answers, more than the socket buffers hold
             sock.sendall(sweep * 1000)

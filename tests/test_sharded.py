@@ -69,6 +69,13 @@ def labeled_batch(paper_spec, paper_labeler, paper_run):
     return labeled
 
 
+def _rival(labeled):
+    """Another run under *labeled*'s name: a conflict, not a replay."""
+    run = labeled.run
+    rival = generate_run_with_size(run.specification, 30, seed=99, name=run.name)
+    return SkeletonLabeler(run.specification, "tcm").label_run(rival.run)
+
+
 def _synthetic_labeled_runs(
     prefix, count, *, modules=12, edges=16, hierarchy=3, seed=0, size=15
 ):
@@ -334,13 +341,13 @@ class TestIngest:
     def test_duplicate_run_raises(self, sharded_store, labeled_batch):
         sharded_store.add_labeled_runs(labeled_batch)
         with pytest.raises(StorageError):
-            sharded_store.add_labeled_run(labeled_batch[0])
+            sharded_store.add_labeled_run(_rival(labeled_batch[0]))
 
     def test_failed_shard_batch_rolls_back(self, sharded_store, labeled_batch):
-        sharded_store.add_labeled_run(labeled_batch[0])
+        sharded_store.add_labeled_run(_rival(labeled_batch[0]))
         before = sharded_store.statistics()
         # the whole sub-batch shares one transaction: the fresh runs in it
-        # must roll back alongside the duplicate
+        # must roll back alongside the conflicting one
         with pytest.raises(StorageError):
             sharded_store.add_labeled_runs(labeled_batch)
         assert sharded_store.statistics() == before
@@ -406,9 +413,10 @@ class TestIngest:
             for item in _synthetic_labeled_runs("other", 4)
             if shard_of_spec(item.run.specification.name, 4) != paper_shard
         )
-        sharded_store.add_labeled_run(labeled_batch[0])
+        sharded_store.add_labeled_run(_rival(labeled_batch[0]))
         before = set(threading.enumerate())
-        # the paper shard's sub-batch repeats a stored run and rolls back;
+        # the paper shard's sub-batch reuses a stored run's name with
+        # other content and rolls back;
         # the other shard's commit stands, and the error surfaces only
         # after both tasks finished on a pool that ended with the call
         with pytest.raises(StorageError):
@@ -471,16 +479,16 @@ class TestSurfaceParity:
             assert list(single_sweep.per_run.values()) == list(
                 sharded_sweep.per_run.values()
             )
-            pairs = [(("a", 1), ("h", 1)), (("h", 1), ("a", 1))]
-            single_batch = ProvenanceSession(single).run(
-                CrossRunBatchQuery(paper_spec.name, pairs, workers=workers)
-            )
-            sharded_batch = ProvenanceSession(sharded).run(
-                CrossRunBatchQuery(paper_spec.name, pairs, workers=workers)
-            )
-            assert list(single_batch.per_run.values()) == list(
-                sharded_batch.per_run.values()
-            )
+        pairs = [(("a", 1), ("h", 1)), (("h", 1), ("a", 1))]
+        single_batch = ProvenanceSession(single).run(
+            CrossRunBatchQuery(paper_spec.name, pairs)
+        )
+        sharded_batch = ProvenanceSession(sharded).run(
+            CrossRunBatchQuery(paper_spec.name, pairs)
+        )
+        assert list(single_batch.per_run.values()) == list(
+            sharded_batch.per_run.values()
+        )
 
     def test_per_run_queries_delegate_to_the_owning_shard(self, both_stores):
         _, _, sharded, sharded_ids = both_stores
@@ -743,7 +751,7 @@ class TestReviewRegressions:
 
     def test_duplicate_error_names_the_offending_run(self, tmp_path, labeled_batch):
         with ShardedProvenanceStore(tmp_path / "dup", 2) as store:
-            store.add_labeled_run(labeled_batch[2])
+            store.add_labeled_run(_rival(labeled_batch[2]))
             with pytest.raises(StorageError, match="'shard-2'"):
                 store.add_labeled_runs(labeled_batch)
 
@@ -858,7 +866,7 @@ class TestSkewTable:
         store = skewed["store"]
         with ServerThread(store) as server, RemoteStore(server.url) as client:
             health = client.health()
-        assert health["protocol"] == PROTOCOL_VERSION == 5
+        assert health["protocol"] == PROTOCOL_VERSION == 6
         assert health["shards_total"] == health["shards_reachable"] == SKEW_SHARDS
         rows = health["shards"]["per_shard"]
         assert health["shards"]["count"] == SKEW_SHARDS

@@ -150,10 +150,10 @@ def test_every_query_type_is_bit_identical_across_layouts(workload, tmp_path_fac
                 other = executions[-1]
                 query_pairs.append((anchor, (other.module, other.instance)))
             single_batch = single_session.run(
-                CrossRunBatchQuery(spec.name, query_pairs, workers=2)
+                CrossRunBatchQuery(spec.name, query_pairs)
             )
             sharded_batch = sharded_session.run(
-                CrossRunBatchQuery(spec.name, query_pairs, workers=2)
+                CrossRunBatchQuery(spec.name, query_pairs)
             )
             assert list(single_batch.per_run.values()) == list(
                 sharded_batch.per_run.values()

@@ -8,8 +8,13 @@ from repro.api import PointQuery
 from repro.exceptions import StorageError
 from repro.provenance.data import DataFlow
 from repro.skeleton.labels import RunLabel
+from repro.skeleton.skl import SkeletonLabeler
+from repro.storage.sharded import ShardedProvenanceStore
 from repro.storage.store import ProvenanceStore
+from repro.workflow.execution import generate_run_with_size
 from repro.workflow.run import RunVertex
+from tests.conftest import make_paper_run
+from tests.test_resident import rewire
 
 
 @pytest.fixture()
@@ -56,9 +61,12 @@ class TestRunPersistence:
         assert stats["runs"] == 1
         assert stats["run_labels"] == paper_labeled_run.run.vertex_count
 
-    def test_duplicate_run_name_rejected(self, store, paper_labeled_run, stored_run):
+    def test_duplicate_run_name_rejected(
+        self, store, paper_spec, paper_labeler, paper_run, stored_run
+    ):
+        rival = generate_run_with_size(paper_spec, 30, seed=99, name=paper_run.name)
         with pytest.raises(StorageError):
-            store.add_labeled_run(paper_labeled_run)
+            store.add_labeled_run(paper_labeler.label_run(rival.run))
 
     def test_get_run_round_trip(self, store, paper_run, stored_run):
         loaded = store.get_run(stored_run)
@@ -83,6 +91,57 @@ class TestRunPersistence:
         with pytest.raises(StorageError):
             store.delete_run(stored_run)
 
+
+@pytest.fixture(params=["file", "sharded"])
+def layout_store(request, tmp_path):
+    """An empty store of each layout: one file, or two shard files."""
+    if request.param == "file":
+        opened = ProvenanceStore(tmp_path / "replay.db")
+    else:
+        opened = ShardedProvenanceStore(tmp_path / "replay", 2)
+    yield opened
+    opened.close()
+
+
+class TestReplayContract:
+    """A run's identity is its (specification, name) key in the store."""
+
+    def test_an_identical_run_returns_the_stored_id(
+        self, layout_store, paper_labeler, paper_run
+    ):
+        run_id = layout_store.add_labeled_run(paper_labeler.label_run(paper_run))
+        before = layout_store.statistics()
+        assert layout_store.add_labeled_run(paper_labeler.label_run(paper_run)) == run_id
+        assert layout_store.statistics() == before
+
+    def test_other_content_under_a_taken_name_conflicts(
+        self, layout_store, paper_spec, paper_labeler, paper_run
+    ):
+        layout_store.add_labeled_run(paper_labeler.label_run(paper_run))
+        before = layout_store.statistics()
+        rival = generate_run_with_size(paper_spec, 30, seed=99, name=paper_run.name)
+        with pytest.raises(StorageError, match=repr(paper_run.name)):
+            layout_store.add_labeled_run(paper_labeler.label_run(rival.run))
+        assert layout_store.statistics() == before
+
+    def test_another_scheme_under_a_taken_name_conflicts(
+        self, layout_store, paper_spec, paper_labeler, paper_run
+    ):
+        layout_store.add_labeled_run(paper_labeler.label_run(paper_run))
+        relabeled = SkeletonLabeler(paper_spec, "tree-cover").label_run(paper_run)
+        with pytest.raises(StorageError, match=repr(paper_run.name)):
+            layout_store.add_labeled_run(relabeled)
+
+    def test_a_replay_after_a_label_update_conflicts(
+        self, layout_store, paper_spec, paper_labeler
+    ):
+        original = paper_labeler.label_run(make_paper_run(paper_spec))
+        run_id = layout_store.add_labeled_run(original)
+        rewired = make_paper_run(paper_spec)
+        rewire(rewired)
+        layout_store.update_run_labels(run_id, paper_labeler.label_run(rewired))
+        with pytest.raises(StorageError, match=repr(original.run.name)):
+            layout_store.add_labeled_run(original)
 
 class TestStoredLabels:
     def test_label_round_trip(self, store, paper_labeled_run, stored_run):
